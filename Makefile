@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test bench bench-smoke bench-record bench-check race shuffle fuzz-smoke load-smoke churn-smoke serve-smoke store-smoke shard-prop cand-prop store-prop
+.PHONY: ci fmt vet build test bench bench-smoke bench-record bench-check bench-verify race shuffle fuzz-smoke load-smoke churn-smoke serve-smoke store-smoke shard-prop cand-prop store-prop
 
-ci: fmt vet build race shard-prop cand-prop store-prop fuzz-smoke serve-smoke store-smoke bench-check
+ci: fmt vet build race shard-prop cand-prop store-prop fuzz-smoke serve-smoke store-smoke bench-check bench-verify
 
 # gofmt enforcement: fail (listing the offenders) when any tracked Go
 # file is not gofmt-clean.
@@ -62,14 +62,16 @@ cand-prop:
 store-prop:
 	$(GO) test -race -shuffle=on -run 'TestCrashRecoveryProperty' ./internal/store
 
-# Short native-fuzzing smoke on the registry parser and the durable
-# store loader: five seconds each is enough to catch grammar and
-# framing regressions (the full corpus lives in the fuzz cache of
+# Short native-fuzzing smoke on the registry parser, the durable store
+# loader, the similarity kernels and the search kernel (every matcher
+# family against its frozen reference): five seconds each is enough to
+# catch grammar, framing and parity regressions (the full corpus lives in the fuzz cache of
 # whoever runs longer sessions).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseSpec' -fuzztime 5s ./match
 	$(GO) test -run '^$$' -fuzz 'FuzzLoadTenant' -fuzztime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelParity' -fuzztime 5s ./internal/similarity
+	$(GO) test -run '^$$' -fuzz 'FuzzSearchKernelParity' -fuzztime 5s ./internal/matchers
 
 # Serving-layer smoke: the multi-tenant load driver on a tiny corpus,
 # including the batched-vs-sequential throughput comparison.
@@ -140,6 +142,14 @@ store-smoke:
 	"$$tmp/matcharchive" archive -store "$$tmp/store" -o "$$tmp/dump2"; \
 	cmp "$$tmp/dump1" "$$tmp/dump2"; \
 	echo "store-smoke: durable state bit-identical across the power cycle"
+
+# The benchmark module's own tests: the answer verifier, the load
+# generator's accounting, and a tiny-scale smoke run of all four
+# workloads plus the layer ladder (10–20 s). benchmark/ is a separate
+# Go module, so the root suite never reaches it; run it offline against
+# the working tree it replaces repro with.
+bench-verify:
+	cd benchmark && GOWORK=off GOPROXY=off GOTOOLCHAIN=local $(GO) test ./...
 
 # Engine memoization benchmarks (memoized vs uncached scoring).
 bench:

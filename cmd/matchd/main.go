@@ -28,6 +28,11 @@
 // (-compact-after/-compact-interval) and once more at shutdown, after
 // the drain, so the next boot replays nothing.
 //
+// At most -resident tenant services (scoring memo, cluster index,
+// sessions) stay resident at once; the rest are LRU-evicted and rebuilt
+// on their next request. 0 selects match.Server's default of 8 — there
+// is no unbounded setting.
+//
 // Usage:
 //
 //	matchd [-corpus DIR] [-store-dir DIR] [-addr HOST:PORT] [-addr-file PATH]
@@ -127,7 +132,7 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) error {
 		tlsKey       = fs.String("tls-key", "", "TLS key file (with -tls-cert)")
 		workers      = fs.Int("workers", 0, "matching worker pool size (0: GOMAXPROCS)")
 		queue        = fs.Int("queue", 0, "admission queue depth (0: default)")
-		resident     = fs.Int("resident", 0, "max resident tenant services (0: unbounded)")
+		resident     = fs.Int("resident", 0, "max resident tenant services, LRU-evicted beyond it (0: the default, 8)")
 		tenantLimit  = fs.Int("tenant-limit", 0, "per-tenant concurrency bound (0: unbounded)")
 		shards       = fs.Int("shards", 0, "per-tenant scatter-gather shards (0: unsharded)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "SIGTERM drain budget before forced shutdown")

@@ -16,7 +16,8 @@ package beam
 import (
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/matching"
 	"repro/internal/xmlschema"
@@ -43,12 +44,6 @@ func (b *Matcher) Name() string { return fmt.Sprintf("beam:%d", b.width) }
 // Width returns the beam width.
 func (b *Matcher) Width() int { return b.width }
 
-// state is one partial mapping during the level-wise search.
-type state struct {
-	targets []int // assigned repository element IDs, one per level so far
-	cost    float64
-}
-
 // Match implements matching.Matcher.
 func (b *Matcher) Match(p *matching.Problem, delta float64) (*matching.AnswerSet, error) {
 	return b.MatchContext(context.Background(), p, delta)
@@ -67,6 +62,7 @@ func (b *Matcher) MatchContext(ctx context.Context, p *matching.Problem, delta f
 func (b *Matcher) MatchStatsContext(ctx context.Context, p *matching.Problem, delta float64) (*matching.AnswerSet, matching.SearchStats, error) {
 	var answers []matching.Answer
 	var st matching.SearchStats
+	var sel selector
 	done := ctx.Done()
 	for _, s := range p.Repo.Schemas() {
 		if done != nil && ctx.Err() != nil {
@@ -77,109 +73,161 @@ func (b *Matcher) MatchStatsContext(ctx context.Context, p *matching.Problem, de
 			// would prune every frontier entry of this schema anyway.
 			continue
 		}
-		if err := b.matchSchema(ctx, p, s, delta, &answers, &st); err != nil {
+		if err := b.matchSchema(ctx, p, s, delta, &sel, &answers, &st); err != nil {
 			return nil, st, err
 		}
 	}
 	return matching.NewAnswerSet(answers), st, nil
 }
 
-func (b *Matcher) matchSchema(ctx context.Context, p *matching.Problem, s *xmlschema.Schema, delta float64, out *[]matching.Answer, st *matching.SearchStats) error {
-	m := p.M()
+func (b *Matcher) matchSchema(ctx context.Context, p *matching.Problem, s *xmlschema.Schema, delta float64, sel *selector, out *[]matching.Answer, st *matching.SearchStats) error {
+	v := p.View(s)
+	limit := delta + 1e-12
 	done := ctx.Done()
-	stopped := false
-	// Level 0: the personal root may map to any element.
-	var frontier []state
-	for _, re := range s.Elements() {
-		st.Candidates++
-		c := p.NameCost(s, 0, re.ID())
-		if c > delta+1e-12 {
-			st.Pruned++
-			continue
-		}
-		frontier = append(frontier, state{targets: []int{re.ID()}, cost: c})
-	}
-	frontier = b.shrink(frontier)
-
-	for pid := 1; pid < m && len(frontier) > 0; pid++ {
+	// The frontier starts as one empty state, which the root extends.
+	sel.reset(b.width)
+	for pid := 0; pid < p.M() && len(sel.cur.costs) > 0; pid++ {
 		par := p.ParentOf(pid)
-		var next []state
-		for _, cur := range frontier {
-			parentImg := s.ByID(cur.targets[par])
-			maxDepth := parentImg.Depth() + p.Config().MaxDepthStretch
-			parentImg.Walk(func(re *xmlschema.Element) bool {
-				if stopped {
-					return false
+		row := v.Row(pid)
+		cur := &sel.cur
+		for i, cost := range cur.costs {
+			targets := cur.state(i)
+			// The personal root may map to any element; a child maps into
+			// the subtree of its parent's image, at most Stretch below it.
+			lo, hi, pd, maxDepth := 0, len(row), 0, math.MaxInt
+			if par >= 0 {
+				pi := targets[par]
+				lo, hi, pd = pi+1, int(v.End[pi]), int(v.Depth[pi])
+				maxDepth = pd + v.Stretch
+			}
+			for rid := lo; rid < hi; rid++ {
+				d := int(v.Depth[rid])
+				if d > maxDepth {
+					rid = int(v.End[rid]) - 1 // skip the too-deep subtree
+					continue
 				}
-				if re == parentImg {
-					return true
-				}
-				if re.Depth() > maxDepth {
-					return false
-				}
-				rid := re.ID()
-				for _, t := range cur.targets {
-					if t == rid {
-						return true // injectivity
-					}
+				if slices.Contains(targets, rid) {
+					continue // injectivity; descendants stay candidates
 				}
 				st.Candidates++
 				if done != nil && st.Candidates&matching.CancelCheckMask == 0 && ctx.Err() != nil {
-					stopped = true
-					return false
+					return ctx.Err()
 				}
-				c := cur.cost + p.NameCost(s, pid, rid) + p.EdgeCost(re.Depth()-parentImg.Depth())
-				if c > delta+1e-12 {
+				c := cost + v.NameCost(row, rid)
+				if par >= 0 {
+					c += v.EdgeCost(d - pd)
+				}
+				if c > limit {
 					st.Pruned++
-					return true
+					continue
 				}
-				nt := make([]int, pid+1)
-				copy(nt, cur.targets)
-				nt[pid] = rid
-				next = append(next, state{targets: nt, cost: c})
-				return true
-			})
-			if stopped {
-				return ctx.Err()
+				sel.offer(expansion{parent: i, rid: rid, cost: c})
 			}
 		}
-		frontier = b.shrink(next)
+		sel.advance()
 	}
-	for _, cur := range frontier {
-		if len(cur.targets) == m {
-			st.Yielded++
-			*out = append(*out, matching.Answer{
-				Mapping: matching.Mapping{Schema: s.Name, Targets: cur.targets},
-				Score:   cur.cost,
-			})
-		}
+	// A non-empty frontier has assigned every personal element. The
+	// answers outlive the reused frontier, so they get their own slab.
+	slab := slices.Clone(sel.cur.targets)
+	for i, cost := range sel.cur.costs {
+		st.Yielded++
+		lo, hi := i*sel.cur.level, (i+1)*sel.cur.level
+		*out = append(*out, matching.Answer{
+			Mapping: matching.Mapping{Schema: s.Name, Targets: slab[lo:hi:hi]},
+			Score:   cost,
+		})
 	}
 	return nil
 }
 
-// shrink keeps the width best states, breaking cost ties by target
-// sequence so runs are deterministic.
-func (b *Matcher) shrink(states []state) []state {
-	if len(states) <= b.width {
-		return states
-	}
-	sort.Slice(states, func(i, j int) bool {
-		if states[i].cost != states[j].cost {
-			return states[i].cost < states[j].cost
-		}
-		return lessTargets(states[i].targets, states[j].targets)
-	})
-	return states[:b.width]
+// frontier is one level's surviving partial mappings: state i assigns
+// personal elements 0..level-1 to state(i) at cost costs[i].
+type frontier struct {
+	level   int
+	targets []int // len(costs) × level, state-major
+	costs   []float64
 }
 
-func lessTargets(a, b []int) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
+func (f *frontier) state(i int) []int { return f.targets[i*f.level : (i+1)*f.level] }
+
+// expansion is one candidate child of frontier state parent: the
+// state's targets followed by rid, at cost.
+type expansion struct {
+	parent, rid int
+	cost        float64
+}
+
+// selector keeps the width best expansions of the current frontier
+// under the strict order (cost, then target sequence) that makes runs
+// deterministic — distinct states have distinct targets, so no two
+// expansions tie. The kept expansions form a bounded max-heap rooted at
+// the worst of them, so a level costs O(expansions · log width) and only
+// the survivors are materialized into the next frontier. One selector
+// serves a whole search; its storage is reused throughout.
+type selector struct {
+	width     int
+	heap      []expansion
+	cur, next frontier // the level being expanded; storage for the next
+}
+
+func (s *selector) reset(width int) {
+	s.width, s.heap = width, s.heap[:0]
+	s.cur.level, s.cur.costs = 0, append(s.cur.costs[:0], 0)
+}
+
+func (s *selector) less(a, b expansion) bool {
+	if a.cost != b.cost {
+		return a.cost < b.cost
 	}
-	return len(a) < len(b)
+	if c := slices.Compare(s.cur.state(a.parent), s.cur.state(b.parent)); c != 0 {
+		return c < 0
+	}
+	return a.rid < b.rid
+}
+
+func (s *selector) offer(x expansion) {
+	h := s.heap
+	if len(h) < s.width {
+		h = append(h, x)
+		for i := len(h) - 1; i > 0 && s.less(h[(i-1)/2], h[i]); i = (i - 1) / 2 {
+			h[(i-1)/2], h[i] = h[i], h[(i-1)/2]
+		}
+		s.heap = h
+		return
+	}
+	if x.cost > h[0].cost || !s.less(x, h[0]) {
+		return // the width kept expansions all beat it
+	}
+	h[0] = x
+	for i := 0; ; {
+		worst := i
+		if l := 2*i + 1; l < len(h) && s.less(h[worst], h[l]) {
+			worst = l
+		}
+		if r := 2*i + 2; r < len(h) && s.less(h[worst], h[r]) {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
+}
+
+// advance makes the kept expansions the current frontier.
+func (s *selector) advance() {
+	level, n := s.cur.level+1, len(s.heap)
+	next := &s.next
+	next.level = level
+	next.targets = slices.Grow(next.targets[:0], n*level)[:n*level]
+	next.costs = next.costs[:0]
+	for i, x := range s.heap {
+		t := next.state(i)
+		copy(t, s.cur.state(x.parent))
+		t[level-1] = x.rid
+		next.costs = append(next.costs, x.cost)
+	}
+	s.cur, s.next = s.next, s.cur
+	s.heap = s.heap[:0]
 }

@@ -129,21 +129,3 @@ func TestBeamEmptyRepo(t *testing.T) {
 		t.Errorf("empty repo produced %d answers", set.Len())
 	}
 }
-
-func TestLessTargets(t *testing.T) {
-	cases := []struct {
-		a, b []int
-		want bool
-	}{
-		{[]int{1, 2}, []int{1, 3}, true},
-		{[]int{1, 3}, []int{1, 2}, false},
-		{[]int{1}, []int{1, 2}, true},
-		{[]int{1, 2}, []int{1}, false},
-		{[]int{1, 2}, []int{1, 2}, false},
-	}
-	for _, c := range cases {
-		if got := lessTargets(c.a, c.b); got != c.want {
-			t.Errorf("lessTargets(%v,%v) = %v", c.a, c.b, got)
-		}
-	}
-}

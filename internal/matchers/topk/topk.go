@@ -14,7 +14,8 @@
 // return carries the exact exhaustive score — both are read from the
 // Problem's engine.Scorer-built cost tables, never from a string metric
 // directly. Larger margins prune more aggressively; margin 0
-// degenerates to the exhaustive system.
+// degenerates to the exhaustive system, whose search kernel
+// (matching.SearchProjected) this matcher runs with its margin.
 package topk
 
 import (
@@ -24,7 +25,6 @@ import (
 	"strconv"
 
 	"repro/internal/matching"
-	"repro/internal/xmlschema"
 )
 
 // Matcher is the aggressive-pruning system. Create with New.
@@ -67,101 +67,5 @@ func (t *Matcher) MatchContext(ctx context.Context, p *matching.Problem, delta f
 
 // MatchStatsContext implements matching.StatsMatcher.
 func (t *Matcher) MatchStatsContext(ctx context.Context, p *matching.Problem, delta float64) (*matching.AnswerSet, matching.SearchStats, error) {
-	var answers []matching.Answer
-	var st matching.SearchStats
-	done := ctx.Done()
-	for _, s := range p.Repo.Schemas() {
-		if done != nil && ctx.Err() != nil {
-			return nil, st, ctx.Err()
-		}
-		if p.CandidateSkip(s.Name, delta) {
-			// Provably answer-free within delta: the unfiltered search
-			// would prune every branch of this schema anyway.
-			continue
-		}
-		if err := t.matchSchema(ctx, p, s, delta, &answers, &st); err != nil {
-			return nil, st, err
-		}
-	}
-	return matching.NewAnswerSet(answers), st, nil
-}
-
-func (t *Matcher) matchSchema(ctx context.Context, p *matching.Problem, s *xmlschema.Schema, delta float64, out *[]matching.Answer, st *matching.SearchStats) error {
-	m := p.M()
-	targets := make([]int, m)
-	used := make([]bool, s.Len())
-	done := ctx.Done()
-	stopped := false
-
-	var assign func(pid int, cost float64)
-	assign = func(pid int, cost float64) {
-		if stopped {
-			return
-		}
-		if pid == m {
-			st.Yielded++
-			*out = append(*out, matching.Answer{
-				Mapping: matching.Mapping{Schema: s.Name, Targets: append([]int(nil), targets...)},
-				Score:   cost,
-			})
-			return
-		}
-		par := p.ParentOf(pid)
-		try := func(re *xmlschema.Element) {
-			rid := re.ID()
-			if used[rid] {
-				return
-			}
-			st.Candidates++
-			if done != nil && st.Candidates&matching.CancelCheckMask == 0 && ctx.Err() != nil {
-				stopped = true
-				return
-			}
-			c := cost + p.NameCost(s, pid, rid)
-			if par >= 0 {
-				parentImg := s.ByID(targets[par])
-				c += p.EdgeCost(re.Depth() - parentImg.Depth())
-			}
-			// Aggressive projection: assume every remaining element
-			// will contribute at least the margin.
-			remaining := float64(m - pid - 1)
-			if c+t.margin*remaining > delta+1e-12 {
-				st.Pruned++
-				return
-			}
-			used[rid] = true
-			targets[pid] = rid
-			assign(pid+1, c)
-			used[rid] = false
-		}
-		if par < 0 {
-			for _, re := range s.Elements() {
-				if stopped {
-					return
-				}
-				try(re)
-			}
-			return
-		}
-		parentImg := s.ByID(targets[par])
-		maxDepth := parentImg.Depth() + p.Config().MaxDepthStretch
-		parentImg.Walk(func(re *xmlschema.Element) bool {
-			if stopped {
-				return false
-			}
-			if re == parentImg {
-				return true
-			}
-			if re.Depth() > maxDepth {
-				return false
-			}
-			try(re)
-			return !stopped
-		})
-	}
-	assign(0, 0)
-	if stopped {
-		return ctx.Err()
-	}
-	return nil
+	return matching.SearchProjected(ctx, p, delta, t.margin)
 }

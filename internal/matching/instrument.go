@@ -42,108 +42,6 @@ func EnumerateWithStats(p *Problem, s *xmlschema.Schema, delta float64, allowed 
 	return st
 }
 
-// EnumerateContext is the instrumented, cancellable enumeration every
-// exhaustive-family matcher runs on. It generates mappings exactly like
-// Enumerate and additionally honors ctx: the context is polled every
-// CancelCheckMask+1 candidates (a counter test on the hot path, the
-// channel read off it), and on cancellation the search unwinds
-// immediately and returns ctx.Err() with the stats accumulated so far.
-// Mappings already yielded stay yielded; no further yields happen after
-// the context ends.
-func EnumerateContext(ctx context.Context, p *Problem, s *xmlschema.Schema, delta float64, allowed func(pid, rid int) bool, yield func(Mapping, float64)) (SearchStats, error) {
-	var st SearchStats
-	if p.CandidateSkip(s.Name, delta) {
-		// The candidate filter proved the schema answer-free within
-		// delta before any table entry existed; an unfiltered run would
-		// enumerate and prune its way to the same empty yield set.
-		return st, nil
-	}
-	done := ctx.Done() // nil for background contexts: checks compile to two ALU ops
-	if done != nil {
-		// Entry check: schemas small enough to finish between periodic
-		// checks still observe cancellation once per schema.
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-	}
-	stopped := false
-	m := p.M()
-	targets := make([]int, m)
-	used := make([]bool, s.Len())
-
-	var assign func(pid int, cost float64)
-	assign = func(pid int, cost float64) {
-		if stopped {
-			return
-		}
-		if pid == m {
-			st.Yielded++
-			yield(Mapping{Schema: s.Name, Targets: append([]int(nil), targets...)}, cost)
-			return
-		}
-		par := p.ParentOf(pid)
-		try := func(re *xmlschema.Element) {
-			rid := re.ID()
-			if used[rid] {
-				return
-			}
-			if allowed != nil && !allowed(pid, rid) {
-				return
-			}
-			st.Candidates++
-			if done != nil && st.Candidates&CancelCheckMask == 0 && ctx.Err() != nil {
-				stopped = true
-				return
-			}
-			c := cost + p.NameCost(s, pid, rid)
-			if par >= 0 {
-				parentImg := s.ByID(targets[par])
-				c += p.EdgeCost(re.Depth() - parentImg.Depth())
-			}
-			if c > delta+1e-12 {
-				st.Pruned++
-				return // admissible prune: contributions only grow
-			}
-			used[rid] = true
-			targets[pid] = rid
-			assign(pid+1, c)
-			used[rid] = false
-		}
-		if par < 0 {
-			// Root of the personal schema may map to any element.
-			for _, re := range s.Elements() {
-				if stopped {
-					return
-				}
-				try(re)
-			}
-			return
-		}
-		// Children must map to descendants of the parent's image
-		// within the depth stretch.
-		parentImg := s.ByID(targets[par])
-		maxDepth := parentImg.Depth() + p.Config().MaxDepthStretch
-		parentImg.Walk(func(re *xmlschema.Element) bool {
-			if stopped {
-				return false
-			}
-			if re == parentImg {
-				return true
-			}
-			if re.Depth() > maxDepth {
-				return false // prune deeper subtree
-			}
-			try(re)
-			return !stopped
-		})
-	}
-	assign(0, 0)
-	if stopped {
-		return st, ctx.Err()
-	}
-	return st, nil
-}
-
 // MatchWithStats runs the exhaustive system and reports the search
 // work alongside the answers.
 func (Exhaustive) MatchWithStats(p *Problem, delta float64) (*AnswerSet, SearchStats, error) {
@@ -152,16 +50,5 @@ func (Exhaustive) MatchWithStats(p *Problem, delta float64) (*AnswerSet, SearchS
 
 // MatchStatsContext implements StatsMatcher.
 func (Exhaustive) MatchStatsContext(ctx context.Context, p *Problem, delta float64) (*AnswerSet, SearchStats, error) {
-	var answers []Answer
-	var total SearchStats
-	for _, s := range p.Repo.Schemas() {
-		st, err := EnumerateContext(ctx, p, s, delta, nil, func(m Mapping, score float64) {
-			answers = append(answers, Answer{Mapping: m, Score: score})
-		})
-		total.Add(st)
-		if err != nil {
-			return nil, total, err
-		}
-	}
-	return NewAnswerSet(answers), total, nil
+	return SearchProjected(ctx, p, delta, 0)
 }

@@ -10,11 +10,38 @@
 // The package provides the mapping and answer-set types shared by all
 // matchers, the objective function, and the exhaustive reference system
 // S1. Non-exhaustive improvements live in internal/matchers.
+//
+// # Search kernel
+//
+// Every schema carries a flat pre-order layout (xmlschema.Schema.Depths
+// and Ends; the subtree of id is the ID range [id, Ends()[id])), and
+// Problem.View pairs it with the schema's name-cost rows and the edge
+// costs. One unexported depth-first enumerator runs on the view:
+// EnumerateContext (behind Exhaustive, ParallelExhaustive, the clustered
+// matcher and the update path) is it at margin 0, SearchProjected runs it
+// with topk's margin, and beam keeps its level-wise search on the same
+// view. A child's candidates are the range (parentImage,
+// End[parentImage]), jumping to End[rid] past subtrees deeper than the
+// stretch. The kernel returns exactly what the pointer-walking search it
+// replaced did — answers, order, bit-identical scores, SearchStats —
+// pinned by a frozen copy (internal/matchers/searchparity_test.go):
+//
+//   - Only the depth test skips a subtree; a used, disallowed or pruned
+//     candidate still has its descendants visited.
+//   - Checks run in the order: depth, used, allowed, Candidates++ and the
+//     cancellation poll, cost, prune (cost + margin·remaining > δ+1e-12).
+//   - A name cost is NameWeight·row[rid]/m in that order (NameWeight/m
+//     precomputed rounds differently); costs accumulate as
+//     (cost + name) + edge.
+//   - NewAnswerSet orders tied scores by Key() string order: "s:10,…"
+//     before "s:9,…", schema "a-b" before "a".
 package matching
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,22 +116,30 @@ type AnswerSet struct {
 // Duplicate mappings are collapsed, keeping the lower score — matchers
 // must not produce true duplicates, but the collapse makes the set a
 // set.
+// Each key is built once, not inside the comparator.
 func NewAnswerSet(answers []Answer) *AnswerSet {
-	sort.Slice(answers, func(i, j int) bool {
-		if answers[i].Score != answers[j].Score {
-			return answers[i].Score < answers[j].Score
+	type keyed struct {
+		Answer
+		key string
+	}
+	ks := make([]keyed, len(answers))
+	for i, a := range answers {
+		ks[i] = keyed{a, a.Mapping.Key()}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if c := cmp.Compare(a.Score, b.Score); c != 0 {
+			return c
 		}
-		return answers[i].Mapping.Key() < answers[j].Mapping.Key()
+		return strings.Compare(a.key, b.key)
 	})
 	dedup := answers[:0]
-	seen := make(map[string]bool, len(answers))
-	for _, a := range answers {
-		k := a.Mapping.Key()
-		if seen[k] {
+	seen := make(map[string]bool, len(ks))
+	for _, k := range ks {
+		if seen[k.key] {
 			continue
 		}
-		seen[k] = true
-		dedup = append(dedup, a)
+		seen[k.key] = true
+		dedup = append(dedup, k.Answer)
 	}
 	return &AnswerSet{answers: dedup}
 }

@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -303,6 +304,33 @@ func TestAnswerSetOperations(t *testing.T) {
 	empty := NewAnswerSet(nil)
 	if empty.MaxScore() != 0 || empty.Len() != 0 {
 		t.Error("empty set invariants")
+	}
+}
+
+// TestNewAnswerSetTieOrder pins the served order of tied scores to
+// Key() string order, not numeric target order: "s:10,…" sorts before
+// "s:9,…", "s:1,2" before "s:10", and schema "a-b" before "a" (because
+// '-' < ':'). The dedup keeps a repeated mapping's lower score.
+func TestNewAnswerSetTieOrder(t *testing.T) {
+	ans := func(schema string, score float64, targets ...int) Answer {
+		return Answer{Mapping: Mapping{Schema: schema, Targets: targets}, Score: score}
+	}
+	set := NewAnswerSet([]Answer{
+		ans("s", 0.5, 9, 1),
+		ans("a", 0.25, 3),
+		ans("s", 0.5, 10, 1),
+		ans("s", 0.125, 10),
+		ans("a-b", 0.25, 3),
+		ans("s", 0.125, 1, 2),
+		ans("s", 0.75, 9, 1), // repeated mapping, worse score
+	})
+	var got []string
+	for _, a := range set.All() {
+		got = append(got, fmt.Sprintf("%s@%v", a.Mapping.Key(), a.Score))
+	}
+	want := []string{"s:1,2@0.125", "s:10@0.125", "a-b:3@0.25", "a:3@0.25", "s:10,1@0.5", "s:9,1@0.5"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("order = %v, want %v", got, want)
 	}
 }
 

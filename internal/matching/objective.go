@@ -101,11 +101,11 @@ type Problem struct {
 	// nameCost[schemaName][p*stride+r] = 1 - sim(name_p, name_r),
 	// p = personal element ID, r = repository element ID.
 	nameCost map[string][]float64
-	// edgeCost[d] = structural penalty of stretching one personal edge
-	// across d repository levels (1 ≤ d ≤ MaxDepthStretch).
+	// edgeCost[d] = EdgeCost(d), the weighted structural contribution
+	// of stretching one personal edge across d repository levels
+	// (1 ≤ d ≤ MaxDepthStretch).
 	edgeCost []float64
 	m        int // personal schema size
-	edges    int // number of personal parent-child edges (= m-1)
 	parent   []int
 	// Candidate filtering (nil cand = unfiltered). For a filtered
 	// problem, table entries the filter pruned hold a cost lower bound
@@ -161,7 +161,6 @@ func NewProblem(personal *xmlschema.Schema, repo *xmlschema.Repository, cfg Conf
 		nameCost: make(map[string][]float64, repo.Len()),
 		m:        personal.Len(),
 	}
-	p.edges = p.m - 1
 	p.parent = make([]int, p.m)
 	for _, e := range personal.Elements() {
 		if e.Parent() != nil {
@@ -171,10 +170,14 @@ func NewProblem(personal *xmlschema.Schema, repo *xmlschema.Repository, cfg Conf
 		}
 	}
 	// Edge penalty: a direct parent-child image costs 0; every extra
-	// level of stretch costs more, asymptotically 1: 1 - 1/d.
+	// level of stretch costs more, asymptotically 1: 1 - 1/d, weighted
+	// and normalized over the m-1 personal edges.
 	p.edgeCost = make([]float64, ncfg.MaxDepthStretch+1)
-	for d := 1; d <= ncfg.MaxDepthStretch; d++ {
-		p.edgeCost[d] = 1 - 1/float64(d)
+	if edges := p.m - 1; edges > 0 {
+		for d := 1; d <= ncfg.MaxDepthStretch; d++ {
+			stretch := 1 - 1/float64(d)
+			p.edgeCost[d] = ncfg.StructWeight * stretch / float64(edges)
+		}
 	}
 	// Build the per-schema name-cost tables through the scoring engine,
 	// fanning schemas out over a worker pool. Each worker writes a
@@ -433,7 +436,6 @@ func (p *Problem) RebaseCandidates(repo *xmlschema.Repository, filter CandidateF
 		nameCost:  make(map[string][]float64, repo.Len()),
 		edgeCost:  p.edgeCost,
 		m:         p.m,
-		edges:     p.edges,
 		parent:    p.parent,
 		candDelta: p.candDelta,
 		candFloor: p.candFloor,
@@ -509,10 +511,7 @@ func (p *Problem) EdgeCost(d int) float64 {
 	if d < 1 || d > p.cfg.MaxDepthStretch {
 		return 2 // outside SS; above any normalized ∆
 	}
-	if p.edges == 0 {
-		return 0
-	}
-	return p.cfg.StructWeight * p.edgeCost[d] / float64(p.edges)
+	return p.edgeCost[d]
 }
 
 // Score computes ∆(mapping) from scratch. Matchers accumulate the same

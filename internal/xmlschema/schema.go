@@ -128,9 +128,11 @@ func (e *Element) Height() int {
 	return h
 }
 
-// Schema is a named, validated schema tree with pre-order element IDs
-// and an ID index for O(1) lookup. Build one with NewSchema; the
-// constructor owns ID assignment and validation.
+// Schema is a named, validated schema tree with pre-order element IDs,
+// an ID index for O(1) lookup, and a flat pre-order layout (Depths,
+// Ends) that lets search loops visit subtrees by ID range instead of
+// walking pointers. Build one with NewSchema; the constructor owns ID
+// assignment, validation, and the layout.
 type Schema struct {
 	// Name identifies the schema inside a repository; unique per Repository.
 	Name string
@@ -138,6 +140,11 @@ type Schema struct {
 	root  *Element
 	byID  []*Element
 	count int
+	// depth[id] is element id's number of edges from the root; end[id]
+	// is one past the last ID of id's subtree, so the subtree is exactly
+	// the ID range [id, end[id]).
+	depth []int32
+	end   []int32
 }
 
 // Validation errors returned by NewSchema.
@@ -151,7 +158,7 @@ var (
 )
 
 // NewSchema validates the tree under root, assigns pre-order IDs and
-// parent pointers, and returns the Schema. The tree must be a proper
+// parent pointers, builds the flat layout, and returns the Schema. The tree must be a proper
 // tree (no node reachable twice), every element must have a non-empty
 // name, and root must not already belong to a schema.
 func NewSchema(name string, root *Element) (*Schema, error) {
@@ -193,6 +200,21 @@ func NewSchema(name string, root *Element) (*Schema, error) {
 	if err := build(root, nil); err != nil {
 		return nil, err
 	}
+	// The layout in one allocation: a parent's ID precedes its
+	// children's, so depths fill forwards and subtree ends backwards.
+	layout := make([]int32, 2*s.count)
+	s.depth, s.end = layout[:s.count:s.count], layout[s.count:]
+	for id, e := range s.byID {
+		s.end[id] = int32(id + 1)
+		if e.parent != nil {
+			s.depth[id] = s.depth[e.parent.id] + 1
+		}
+	}
+	for id := s.count - 1; id > 0; id-- {
+		if p := s.byID[id].parent.id; s.end[id] > s.end[p] {
+			s.end[p] = s.end[id]
+		}
+	}
 	return s, nil
 }
 
@@ -213,6 +235,15 @@ func (s *Schema) ByID(id int) *Element {
 // Elements returns all elements in pre-order (ID order). The returned
 // slice is shared; callers must not modify it.
 func (s *Schema) Elements() []*Element { return s.byID }
+
+// Depths returns every element's depth (edges from the root), indexed
+// by ID. The returned slice is shared; callers must not modify it.
+func (s *Schema) Depths() []int32 { return s.depth }
+
+// Ends returns, indexed by ID, one past the last ID of each element's
+// subtree: the subtree of id is the ID range [id, Ends()[id]). The
+// returned slice is shared; callers must not modify it.
+func (s *Schema) Ends() []int32 { return s.end }
 
 // Walk visits all elements in pre-order.
 func (s *Schema) Walk(visit func(*Element) bool) { s.root.Walk(visit) }

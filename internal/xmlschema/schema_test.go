@@ -39,6 +39,33 @@ func TestNewSchemaAssignsPreorderIDs(t *testing.T) {
 	}
 }
 
+// TestLayoutMatchesTree checks the flat layout against the pointer
+// tree: Depths agrees with Element.Depth, and [id, Ends()[id]) is
+// exactly id's subtree — on a built schema and on its clone.
+func TestLayoutMatchesTree(t *testing.T) {
+	lib := buildLibrary(t)
+	for _, s := range []*Schema{lib, lib.Clone()} {
+		depth, end := s.Depths(), s.Ends()
+		if len(depth) != s.Len() || len(end) != s.Len() {
+			t.Fatalf("layout lengths %d/%d, want %d", len(depth), len(end), s.Len())
+		}
+		for _, e := range s.Elements() {
+			id := e.ID()
+			if int(depth[id]) != e.Depth() {
+				t.Errorf("%s: depth %d, want %d", e.Name, depth[id], e.Depth())
+			}
+			var sub []int
+			e.Walk(func(d *Element) bool { sub = append(sub, d.ID()); return true })
+			if int(end[id])-id != len(sub) || sub[len(sub)-1] != int(end[id])-1 {
+				t.Errorf("%s: subtree range [%d,%d), want IDs %v", e.Name, id, end[id], sub)
+			}
+		}
+	}
+	if got := lib.Ends(); got[0] != 5 || got[1] != 4 || got[4] != 5 {
+		t.Errorf("library ends = %v, want [5 4 3 4 5]", got)
+	}
+}
+
 func TestNewSchemaValidation(t *testing.T) {
 	if _, err := NewSchema("", NewElement("r")); err != ErrEmptySchema {
 		t.Errorf("empty name err = %v", err)
