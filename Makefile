@@ -63,8 +63,9 @@ store-prop:
 	$(GO) test -race -shuffle=on -run 'TestCrashRecoveryProperty' ./internal/store
 
 # Short native-fuzzing smoke on the registry parser, the durable store
-# loader, the similarity kernels and the search kernel (every matcher
-# family against its frozen reference): five seconds each is enough to
+# loader, the similarity kernels, the search kernel (every matcher
+# family against its frozen reference) and the vocabulary-indexed cost
+# tables (against per-cell scoring): five seconds each is enough to
 # catch grammar, framing and parity regressions (the full corpus lives in the fuzz cache of
 # whoever runs longer sessions).
 fuzz-smoke:
@@ -72,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzLoadTenant' -fuzztime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelParity' -fuzztime 5s ./internal/similarity
 	$(GO) test -run '^$$' -fuzz 'FuzzSearchKernelParity' -fuzztime 5s ./internal/matchers
+	$(GO) test -run '^$$' -fuzz 'FuzzVocabTables' -fuzztime 5s ./internal/matching
 
 # Serving-layer smoke: the multi-tenant load driver on a tiny corpus,
 # including the batched-vs-sequential throughput comparison.

@@ -69,6 +69,18 @@ func TestEngineParityAllMatchers(t *testing.T) {
 	probUncached := problemWith(t, sc, engine.NewUncached(nil))
 	const delta = 0.45
 
+	// A build scores each distinct name pair once, so the first build
+	// over a fresh memo only misses, and a second build of the same
+	// problem is answered entirely from the memo.
+	first := memo.Stats()
+	if first.Misses == 0 {
+		t.Fatal("first build never missed the memo — engine not exercised")
+	}
+	problemWith(t, sc, memo)
+	if d := memo.Stats().Sub(first); d.Misses != 0 || d.Entries != 0 {
+		t.Errorf("second build on a warm memo: %d new misses, %d new entries; want 0, 0", d.Misses, d.Entries)
+	}
+
 	bm, err := beam.New(32)
 	if err != nil {
 		t.Fatal(err)
@@ -94,9 +106,6 @@ func TestEngineParityAllMatchers(t *testing.T) {
 			t.Fatalf("%s uncached: %v", m.Name(), err)
 		}
 		assertIdenticalSets(t, m.Name(), setCached, setUncached)
-	}
-	if st := memo.Stats(); st.Hits == 0 {
-		t.Error("memoized runs never hit the cache — engine not exercised")
 	}
 }
 

@@ -73,4 +73,15 @@
 // after the fan-out so their scratch returns to the kernel's pool.
 // ForEachWorker exposes the worker identity that makes per-worker
 // sessions sound: jobs on one worker run sequentially.
+//
+// # Hit rates under vocabulary-indexed builds
+//
+// The matching layer's cost-table build scores each distinct
+// (personal name, repository name) pair once per build, however often
+// the names repeat across the repository's elements (see the "Cost
+// tables" section of internal/matching). A memo behind it therefore
+// records one lookup per distinct pair: the first build of a problem
+// only misses and a repeated build only hits, where a per-cell build
+// used to add one hit per repeated name. Entries, the set of memoized
+// pairs, are the same either way; hit counts and hit rates are lower.
 package engine

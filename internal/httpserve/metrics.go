@@ -351,15 +351,15 @@ func (h *Handler) writeMetrics(w io.Writer) error {
 	for _, r := range rows {
 		p.sample("matchd_tenant_version", fmt.Sprintf(`tenant="%s"`, escapeLabel(r.name)), float64(r.st.Version))
 	}
-	p.family("matchd_tenant_cache_hits_total", "Scoring-engine cache hits of the tenant's resident service (resets on eviction).", "counter")
+	p.family("matchd_tenant_cache_hits_total", "Scoring-engine cache hits of the tenant's resident service (resets on eviction). A cost-table build looks each distinct name pair up once, so hits come from repeated builds, not from names repeated within a build.", "counter")
 	for _, r := range rows {
 		p.sample("matchd_tenant_cache_hits_total", fmt.Sprintf(`tenant="%s"`, escapeLabel(r.name)), float64(r.st.Cache.Hits))
 	}
-	p.family("matchd_tenant_cache_misses_total", "Scoring-engine cache misses of the tenant's resident service (resets on eviction).", "counter")
+	p.family("matchd_tenant_cache_misses_total", "Scoring-engine cache misses of the tenant's resident service (resets on eviction): one per name pair first scored.", "counter")
 	for _, r := range rows {
 		p.sample("matchd_tenant_cache_misses_total", fmt.Sprintf(`tenant="%s"`, escapeLabel(r.name)), float64(r.st.Cache.Misses))
 	}
-	p.family("matchd_tenant_cache_entries", "Memoized scoring pairs held by the tenant's resident service.", "gauge")
+	p.family("matchd_tenant_cache_entries", "Memoized scoring pairs held by the tenant's resident service: the distinct name pairs scored so far.", "gauge")
 	for _, r := range rows {
 		p.sample("matchd_tenant_cache_entries", fmt.Sprintf(`tenant="%s"`, escapeLabel(r.name)), float64(r.st.Cache.Entries))
 	}

@@ -82,7 +82,7 @@ func (b *Matcher) MatchStatsContext(ctx context.Context, p *matching.Problem, de
 
 func (b *Matcher) matchSchema(ctx context.Context, p *matching.Problem, s *xmlschema.Schema, delta float64, sel *selector, out *[]matching.Answer, st *matching.SearchStats) error {
 	v := p.View(s)
-	limit := delta + 1e-12
+	limit := delta + matching.ThresholdEps
 	done := ctx.Done()
 	// The frontier starts as one empty state, which the root extends.
 	sel.reset(b.width)

@@ -24,10 +24,6 @@ import (
 // Repository returns the repository the index currently serves.
 func (ix *Index) Repository() *xmlschema.Repository { return ix.repo }
 
-// HasName reports whether any element of the index's repository
-// carries the given name.
-func (ix *Index) HasName(name string) bool { return ix.nameCount[name] > 0 }
-
 // Drift returns the number of distinct names added plus removed since
 // the last full (re)build — the quantity Apply's rebuild threshold is
 // compared against.

@@ -6,7 +6,7 @@ import (
 
 // candEps is the safety margin, in cost space, that every candidate
 // pruning decision must clear. The enumeration prune uses
-// c > delta + 1e-12; pruning only when a cost lower bound exceeds
+// c > delta + ThresholdEps; pruning only when a cost lower bound exceeds
 // delta + candEps therefore guarantees both the filtered and the
 // unfiltered run discard the same partials, keeping answer sets
 // bit-identical.

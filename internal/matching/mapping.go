@@ -11,6 +11,30 @@
 // matchers, the objective function, and the exhaustive reference system
 // S1. Non-exhaustive improvements live in internal/matchers.
 //
+// # Cost tables
+//
+// A Problem holds one name-cost table per repository schema:
+// table[pid*n+rid] = 1 - sim(name of personal element pid, name of
+// element rid). Repositories repeat names heavily, so an unfiltered
+// build never scores cells one by one. It takes the repository's
+// xmlschema.Vocabulary (its distinct names, plus each element's index
+// into them; a sealed repository builds it once per snapshot), scores
+// every distinct personal name against every vocabulary name through
+// the scorer's row sessions, with column blocks spread over the
+// BuildWorkers pool, and then fills each schema's table by vocabulary
+// index. Every distinct name pair reaches the scorer exactly once, so a
+// memo ends up holding the same entries as a per-cell build while
+// recording far fewer hits. The problem keeps the dense matrix, and
+// Rebase copies its columns for names it has already scored; only new
+// names are scored. Candidate-filtered builds still score their kept
+// pairs cell by cell. A schema the filter does not hold is filled from
+// the vocabulary.
+//
+// The search reads the per-schema tables, never the vocabulary: looking
+// each candidate up through its vocabulary index would add an
+// indirection to the innermost loop, which dominates warm requests on
+// large repositories, while the fill costs one pass per build.
+//
 // # Search kernel
 //
 // Every schema carries a flat pre-order layout (xmlschema.Schema.Depths
@@ -29,7 +53,7 @@
 //   - Only the depth test skips a subtree; a used, disallowed or pruned
 //     candidate still has its descendants visited.
 //   - Checks run in the order: depth, used, allowed, Candidates++ and the
-//     cancellation poll, cost, prune (cost + margin·remaining > δ+1e-12).
+//     cancellation poll, cost, prune (cost + margin·remaining > δ+ThresholdEps).
 //   - A name cost is NameWeight·row[rid]/m in that order (NameWeight/m
 //     precomputed rounds differently); costs accumulate as
 //     (cost + name) + edge.
@@ -151,13 +175,21 @@ func (s *AnswerSet) Len() int { return len(s.answers) }
 // returned slice.
 func (s *AnswerSet) All() []Answer { return s.answers }
 
-// CountAt returns |A(δ)|: the number of answers with score ≤ delta.
+// ThresholdEps is the slack of every threshold cut: a mapping belongs
+// to the answer set A(δ) when its score is ≤ δ + ThresholdEps. The
+// matchers prune with it and the answer-set prefixes cut with it, so a
+// score a rounding step above δ is inside A(δ) for both.
+const ThresholdEps = 1e-12
+
+// CountAt returns |A(δ)|: the number of answers with score ≤ delta +
+// ThresholdEps.
 func (s *AnswerSet) CountAt(delta float64) int {
-	return sort.Search(len(s.answers), func(i int) bool { return s.answers[i].Score > delta })
+	return sort.Search(len(s.answers), func(i int) bool { return s.answers[i].Score > delta+ThresholdEps })
 }
 
-// At returns the prefix of answers with score ≤ delta (the answer set
-// A(δ) in rank order). The slice aliases the set's storage.
+// At returns the prefix of answers with score ≤ delta + ThresholdEps
+// (the answer set A(δ) in rank order). The slice aliases the set's
+// storage.
 func (s *AnswerSet) At(delta float64) []Answer {
 	return s.answers[:s.CountAt(delta)]
 }
@@ -170,7 +202,7 @@ func (s *AnswerSet) TopN(n int) []Answer {
 	return s.answers[:n]
 }
 
-// Keys returns the mapping keys of answers with score ≤ delta.
+// Keys returns the mapping keys of the answers in At(delta).
 func (s *AnswerSet) Keys(delta float64) map[string]bool {
 	out := make(map[string]bool)
 	for _, a := range s.At(delta) {

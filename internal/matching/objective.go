@@ -32,9 +32,9 @@ type Config struct {
 	// space definition SS, identical for all systems. Values < 1
 	// default to 3.
 	MaxDepthStretch int
-	// BuildWorkers bounds the worker pool that precomputes the
-	// per-schema name-cost tables in NewProblem. Values < 1 select
-	// GOMAXPROCS.
+	// BuildWorkers bounds the worker pool that scores names and fills
+	// the per-schema name-cost tables in NewProblem and Rebase. Values
+	// < 1 select GOMAXPROCS.
 	BuildWorkers int
 	// Candidates, when non-nil, enables the candidate-filtered table
 	// build: pairs (and whole schemas) whose similarity upper bound
@@ -89,10 +89,12 @@ func DefaultConfig() Config {
 // constructor precomputes the per-(personal element, repository
 // element) name costs through the configured engine.Scorer so that
 // every matcher draws node-pair scores from one shared source;
-// exhaustive search then runs on table lookups. With a memoized scorer
-// shared across problems (engine.Memo), repeated names — and repeated
-// problem builds under different objective weights — cost one metric
-// evaluation in total.
+// exhaustive search then runs on table lookups. Each distinct name
+// pair is scored once per build (see "Cost tables" in the package
+// doc); with a memoized scorer shared across problems (engine.Memo),
+// repeated problem builds — under different objective weights, or for
+// the same personal schema again — cost one metric evaluation per pair
+// in total.
 type Problem struct {
 	Personal *xmlschema.Schema
 	Repo     *xmlschema.Repository
@@ -107,6 +109,13 @@ type Problem struct {
 	edgeCost []float64
 	m        int // personal schema size
 	parent   []int
+	// pnames are the personal schema's distinct element names and
+	// prow[pid] the index of element pid's name among them.
+	pnames []string
+	prow   []int
+	// costs is the vocabulary-indexed matrix an unfiltered problem's
+	// tables were filled from, kept so Rebase scores only new names.
+	costs vocabCosts
 	// Candidate filtering (nil cand = unfiltered). For a filtered
 	// problem, table entries the filter pruned hold a cost lower bound
 	// instead of a computed score, so Score and SearchSpaceSize are only
@@ -161,6 +170,7 @@ func NewProblem(personal *xmlschema.Schema, repo *xmlschema.Repository, cfg Conf
 		nameCost: make(map[string][]float64, repo.Len()),
 		m:        personal.Len(),
 	}
+	p.pnames, p.prow = personalRows(personal)
 	p.parent = make([]int, p.m)
 	for _, e := range personal.Elements() {
 		if e.Parent() != nil {
@@ -179,31 +189,209 @@ func NewProblem(personal *xmlschema.Schema, repo *xmlschema.Repository, cfg Conf
 			p.edgeCost[d] = ncfg.StructWeight * stretch / float64(edges)
 		}
 	}
-	// Build the per-schema name-cost tables through the scoring engine,
-	// fanning schemas out over a worker pool. Each worker writes a
-	// distinct schema's table; the only shared state is the scorer and
-	// the candidate bounder, both concurrency-safe by contract.
+	// Build the per-schema name-cost tables (see "Cost tables" in the
+	// package doc).
 	tb := p.newTableBuilder()
 	if tb.bounder != nil {
 		p.cand = make(map[string]schemaCand, repo.Len())
 		p.candDelta = ncfg.CandidateDelta
 		p.candFloor = 1 - ncfg.CandidateDelta*float64(p.m)/ncfg.NameWeight
 	}
-	schemas := repo.Schemas()
-	tables, cands := tb.buildAll(schemas, ncfg.BuildWorkers)
-	for si, s := range schemas {
-		p.nameCost[s.Name] = tables[si]
-		if p.cand != nil {
-			p.cand[s.Name] = cands[si]
-		}
-	}
+	p.buildTables(tb, nil, vocabCosts{})
 	return p, nil
 }
 
-// tableBuilder constructs one schema's name-cost table, filtered
-// through the configured CandidateFilter when possible. A nil bounder
-// (no filter, or a filter that cannot bound the metric) scores every
-// pair exactly like the pre-candidate build did.
+// vocabCosts is a name-cost matrix over a repository vocabulary:
+// cols[q*vocab.Len()+v] = 1 - sim(pnames[q], vocab.Names[v]).
+type vocabCosts struct {
+	vocab *xmlschema.Vocabulary
+	cols  []float64
+}
+
+// column returns the position of name's column, if c holds one.
+func (c vocabCosts) column(name string) (int, bool) {
+	if c.vocab == nil {
+		return 0, false
+	}
+	return c.vocab.Index(name)
+}
+
+// buildTables builds the cost tables, and on a filtered problem the
+// candidate records, of the schemas at positions sel of p.Repo's
+// insertion order (every schema when sel is nil). prev holds the costs
+// of the problem being rebased, if any; its columns are copied instead
+// of rescored.
+//
+// An unfiltered build scores each distinct (personal, repository) name
+// pair once and fills every table from the result. A filtered build
+// scores the kept pairs of each schema through the bounder; a schema
+// the filter does not hold (stale index after a rebase) is filled from
+// the vocabulary like an unfiltered build — exact, and therefore always
+// parity-safe.
+func (p *Problem) buildTables(tb *tableBuilder, sel []int, prev vocabCosts) {
+	schemas := p.Repo.Schemas()
+	if sel == nil {
+		sel = make([]int, len(schemas))
+		for i := range sel {
+			sel[i] = i
+		}
+	}
+	if tb.bounder == nil {
+		p.costs = p.scoreVocab(p.Repo.Vocabulary(), nil, prev)
+		p.fillTables(schemas, sel, p.costs)
+		return
+	}
+	tables, cands, held := tb.buildAll(schemas, sel, p.cfg.BuildWorkers)
+	var stale []int
+	for i, si := range sel {
+		if p.cand != nil {
+			p.cand[schemas[si].Name] = cands[i]
+		}
+		if held[i] {
+			p.nameCost[schemas[si].Name] = tables[i]
+		} else {
+			stale = append(stale, si)
+		}
+	}
+	if len(stale) == 0 {
+		return
+	}
+	vocab := p.Repo.Vocabulary()
+	need := make([]bool, vocab.Len())
+	for _, si := range stale {
+		for _, v := range vocab.IDs[si] {
+			need[v] = true
+		}
+	}
+	p.fillTables(schemas, stale, p.scoreVocab(vocab, need, vocabCosts{}))
+}
+
+// scoreVocab returns the costs of the problem's distinct personal names
+// against the columns of vocab that need admits (all of them when need
+// is nil; the others stay zero). Columns prev holds are copied; the
+// rest are scored through the configured scorer, so a memo is asked
+// for each distinct pair exactly once.
+func (p *Problem) scoreVocab(vocab *xmlschema.Vocabulary, need []bool, prev vocabCosts) vocabCosts {
+	nq, nv := len(p.pnames), vocab.Len()
+	c := vocabCosts{vocab: vocab, cols: make([]float64, nq*nv)}
+	var missing []int
+	for v, name := range vocab.Names {
+		if need != nil && !need[v] {
+			continue
+		}
+		if j, ok := prev.column(name); ok {
+			pv := prev.vocab.Len()
+			for q := 0; q < nq; q++ {
+				c.cols[q*nv+v] = prev.cols[q*pv+j]
+			}
+			continue
+		}
+		missing = append(missing, v)
+	}
+	names := make([]string, len(missing))
+	for i, v := range missing {
+		names[i] = vocab.Names[v]
+	}
+	scored := make([]float64, nq*len(names))
+	p.scoreNames(names, scored)
+	for q := 0; q < nq; q++ {
+		for i, v := range missing {
+			c.cols[q*nv+v] = scored[q*len(names)+i]
+		}
+	}
+	return c
+}
+
+// scoreNames writes 1 - sim(pnames[q], names[j]) into
+// out[q*len(names)+j]. Column blocks fan out over the BuildWorkers
+// pool, one row session per worker; a block scores every personal row
+// against the same column slice, so the session resolves each column's
+// profile once per block.
+func (p *Problem) scoreNames(names []string, out []float64) {
+	n := len(names)
+	sessions := make([]engine.RowSession, engine.ResolveWorkers(p.cfg.BuildWorkers, n))
+	forBlocks(n, p.cfg.BuildWorkers, func(w, lo, hi int) {
+		if sessions[w] == nil {
+			sessions[w] = engine.NewRowSession(p.cfg.Scorer)
+		}
+		for q, pn := range p.pnames {
+			row := out[q*n+lo : q*n+hi]
+			sessions[w].ScoreRow(pn, names[lo:hi], row)
+			for j, sim := range row {
+				row[j] = 1 - sim
+			}
+		}
+	})
+	for _, s := range sessions {
+		if s != nil {
+			s.Close()
+		}
+	}
+}
+
+// fillTables builds the tables of the schemas at positions sel from c:
+// entry (pid, rid) is the cost of pid's name against rid's name.
+func (p *Problem) fillTables(schemas []*xmlschema.Schema, sel []int, c vocabCosts) {
+	nv := c.vocab.Len()
+	tables := make([][]float64, len(sel))
+	forBlocks(len(sel), p.cfg.BuildWorkers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ids := c.vocab.IDs[sel[i]]
+			n := len(ids)
+			table := make([]float64, p.m*n)
+			for pid, q := range p.prow {
+				src, dst := c.cols[q*nv:(q+1)*nv], table[pid*n:(pid+1)*n]
+				for rid, v := range ids {
+					dst[rid] = src[v]
+				}
+			}
+			tables[i] = table
+		}
+	})
+	for i, si := range sel {
+		p.nameCost[schemas[si].Name] = tables[i]
+	}
+}
+
+// forBlocks splits [0, n) into contiguous blocks, a few per worker of a
+// pool of the given size (< 1 selects GOMAXPROCS), and runs fn(w, lo,
+// hi) for each block on worker w < engine.ResolveWorkers(workers, n).
+func forBlocks(n, workers int, fn func(w, lo, hi int)) {
+	if n == 0 {
+		return
+	}
+	workers = engine.ResolveWorkers(workers, n)
+	blocks := 1
+	if workers > 1 {
+		blocks = min(n, 4*workers)
+	}
+	engine.ForEachWorker(blocks, workers, func(w, b int) {
+		fn(w, b*n/blocks, (b+1)*n/blocks)
+	})
+}
+
+// personalRows returns the distinct element names of s in ID order of
+// first occurrence and, per element ID, the index of its name.
+func personalRows(s *xmlschema.Schema) ([]string, []int) {
+	var names []string
+	rows := make([]int, s.Len())
+	seen := make(map[string]int, s.Len())
+	for _, e := range s.Elements() {
+		q, ok := seen[e.Name]
+		if !ok {
+			q = len(names)
+			seen[e.Name] = q
+			names = append(names, e.Name)
+		}
+		rows[e.ID()] = q
+	}
+	return names, rows
+}
+
+// tableBuilder constructs one schema's candidate-filtered name-cost
+// table. Its bounder is nil when the problem has no filter or the
+// filter cannot bound the metric; buildTables then takes the unfiltered
+// vocabulary path.
 type tableBuilder struct {
 	p             *Problem
 	personalNames []string
@@ -228,51 +416,42 @@ func (tw *tableWorker) session(sc engine.Scorer) engine.RowSession {
 	return tw.sess
 }
 
-// buildAll builds every schema's table over a worker pool, one scoring
-// session per worker, and closes the sessions when the fan-out drains.
-func (tb *tableBuilder) buildAll(schemas []*xmlschema.Schema, workers int) ([][]float64, []schemaCand) {
-	tables := make([][]float64, len(schemas))
-	cands := make([]schemaCand, len(schemas))
-	pool := make([]tableWorker, engine.ResolveWorkers(workers, len(schemas)))
-	engine.ForEachWorker(len(schemas), workers, func(w, si int) {
-		tables[si], cands[si] = tb.build(schemas[si], &pool[w])
+// buildAll builds the filtered tables of the schemas at positions sel
+// over a worker pool, one scoring session per worker, and closes the
+// sessions when the fan-out drains. held[i] is false for a schema the
+// filter does not hold; its table is left to the caller.
+func (tb *tableBuilder) buildAll(schemas []*xmlschema.Schema, sel []int, workers int) (tables [][]float64, cands []schemaCand, held []bool) {
+	tables = make([][]float64, len(sel))
+	cands = make([]schemaCand, len(sel))
+	held = make([]bool, len(sel))
+	pool := make([]tableWorker, engine.ResolveWorkers(workers, len(sel)))
+	engine.ForEachWorker(len(sel), workers, func(w, i int) {
+		tables[i], cands[i], held[i] = tb.build(schemas[sel[i]], &pool[w])
 	})
 	for i := range pool {
 		if pool[i].sess != nil {
 			pool[i].sess.Close()
 		}
 	}
-	return tables, cands
+	return tables, cands, held
 }
 
 func (p *Problem) newTableBuilder() *tableBuilder {
-	tb := &tableBuilder{p: p, personalNames: make([]string, p.m)}
-	for _, pe := range p.Personal.Elements() {
-		tb.personalNames[pe.ID()] = pe.Name
-	}
+	tb := &tableBuilder{p: p}
 	if p.cfg.Candidates != nil {
+		tb.personalNames = make([]string, p.m)
+		for _, pe := range p.Personal.Elements() {
+			tb.personalNames[pe.ID()] = pe.Name
+		}
 		tb.bounder = p.cfg.Candidates.Prepare(tb.personalNames)
 		tb.tables, _ = tb.bounder.(CandidateTableBounder)
 	}
 	return tb
 }
 
-// buildFull scores every pair of the schema — the unfiltered path.
-func (tb *tableBuilder) buildFull(s *xmlschema.Schema, names []string, tw *tableWorker) []float64 {
-	n := len(names)
-	table := make([]float64, tb.p.m*n)
-	sess := tw.session(tb.p.cfg.Scorer)
-	for pi, pn := range tb.personalNames {
-		row := table[pi*n : (pi+1)*n]
-		sess.ScoreRow(pn, names, row)
-		for j, sim := range row {
-			row[j] = 1 - sim
-		}
-	}
-	return table
-}
-
-// build returns the schema's cost table and its candidate record.
+// build returns the schema's filtered cost table and its candidate
+// record, or held = false when the filter does not hold this exact
+// schema object (stale index after a rebase).
 //
 // The filtered path is parity-safe by construction. Write
 // scale = NameWeight/m, so a table entry c contributes scale·c to any
@@ -292,10 +471,7 @@ func (tb *tableBuilder) buildFull(s *xmlschema.Schema, names []string, tw *table
 //
 // Kept pairs are scored exactly, so answers within Δc are bit-identical
 // to an unfiltered build.
-func (tb *tableBuilder) build(s *xmlschema.Schema, tw *tableWorker) ([]float64, schemaCand) {
-	if tb.bounder == nil {
-		return tb.buildFull(s, namesOf(s), tw), schemaCand{}
-	}
+func (tb *tableBuilder) build(s *xmlschema.Schema, tw *tableWorker) (table []float64, cand schemaCand, held bool) {
 	if tb.tables != nil {
 		// Fast path: the bounder precomputed this schema's lb table and
 		// row-min sum (bit-identical to what the loop below derives), so
@@ -304,11 +480,10 @@ func (tb *tableBuilder) build(s *xmlschema.Schema, tw *tableWorker) ([]float64, 
 		// overwritten with scores.
 		lb, sum, ok := tb.tables.SchemaLB(s)
 		if !ok {
-			// Stale index after a rebase: score exhaustively — exact, and
-			// therefore always parity-safe.
-			return tb.buildFull(s, namesOf(s), tw), schemaCand{}
+			return nil, schemaCand{}, false
 		}
-		return tb.buildFromLB(s, lb, sum, true, tw)
+		table, cand = tb.buildFromLB(s, lb, sum, true, tw)
+		return table, cand, true
 	}
 	p := tb.p
 	n := s.Len()
@@ -320,10 +495,7 @@ func (tb *tableBuilder) build(s *xmlschema.Schema, tw *tableWorker) ([]float64, 
 	sum := 0.0
 	for pi := 0; pi < p.m; pi++ {
 		if !tb.bounder.BoundRow(pi, s, row) {
-			// The filter does not hold this exact schema object (stale
-			// index after a rebase); score it exhaustively — exact, and
-			// therefore always parity-safe.
-			return tb.buildFull(s, namesOf(s), tw), schemaCand{}
+			return nil, schemaCand{}, false
 		}
 		rowMin := 2.0
 		for rid := 0; rid < n; rid++ {
@@ -338,7 +510,8 @@ func (tb *tableBuilder) build(s *xmlschema.Schema, tw *tableWorker) ([]float64, 
 		}
 		sum += rowMin
 	}
-	return tb.buildFromLB(s, lb, sum, false, tw)
+	table, cand = tb.buildFromLB(s, lb, sum, false, tw)
+	return table, cand, true
 }
 
 // namesOf collects a schema's element names indexed by element ID.
@@ -409,11 +582,13 @@ func (tb *tableBuilder) buildFromLB(s *xmlschema.Schema, lb []float64, sum float
 // of a full NewProblem. The receiver is not modified and stays valid
 // for in-flight searches against the old repository.
 //
-// On a candidate-filtered problem the filtering record of transferred
-// schemas carries over, while changed schemas rebuild unfiltered (the
-// old filter cannot hold the new schema objects); the result stays
-// exact within the pruning horizon. Use RebaseCandidates with a fresh
-// filter to keep changed schemas filtered as well.
+// Changed schemas are filled from repo's vocabulary; names the problem
+// scored before are copied, not rescored. On a candidate-filtered
+// problem the filtering record of transferred schemas carries over,
+// while changed schemas rebuild unfiltered (the old filter cannot hold
+// the new schema objects); the result stays exact within the pruning
+// horizon. Use RebaseCandidates with a fresh filter to keep changed
+// schemas filtered as well.
 func (p *Problem) Rebase(repo *xmlschema.Repository) (*Problem, error) {
 	return p.RebaseCandidates(repo, nil)
 }
@@ -437,6 +612,9 @@ func (p *Problem) RebaseCandidates(repo *xmlschema.Repository, filter CandidateF
 		edgeCost:  p.edgeCost,
 		m:         p.m,
 		parent:    p.parent,
+		pnames:    p.pnames,
+		prow:      p.prow,
+		costs:     p.costs,
 		candDelta: p.candDelta,
 		candFloor: p.candFloor,
 	}
@@ -453,8 +631,9 @@ func (p *Problem) RebaseCandidates(repo *xmlschema.Repository, filter CandidateF
 		np.cand = make(map[string]schemaCand, repo.Len())
 	}
 	schemas := repo.Schemas()
-	// Changed schemas fan out over the same worker pool NewProblem
-	// uses; unchanged ones transfer their (immutable) tables directly.
+	// Changed schemas build like NewProblem's, scoring only names the
+	// problem has not scored before; unchanged ones transfer their
+	// (immutable) tables directly.
 	var changed []int
 	for si, s := range schemas {
 		if p.Repo.Schema(s.Name) == s {
@@ -467,18 +646,7 @@ func (p *Problem) RebaseCandidates(repo *xmlschema.Repository, filter CandidateF
 		}
 	}
 	if len(changed) > 0 {
-		tb := np.newTableBuilder()
-		changedSchemas := make([]*xmlschema.Schema, len(changed))
-		for ci, si := range changed {
-			changedSchemas[ci] = schemas[si]
-		}
-		tables, cands := tb.buildAll(changedSchemas, p.cfg.BuildWorkers)
-		for ci, si := range changed {
-			np.nameCost[schemas[si].Name] = tables[ci]
-			if np.cand != nil {
-				np.cand[schemas[si].Name] = cands[ci]
-			}
-		}
+		np.buildTables(np.newTableBuilder(), changed, p.costs)
 	}
 	return np, nil
 }

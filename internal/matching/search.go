@@ -89,7 +89,7 @@ func enumerate(ctx context.Context, p *Problem, s *xmlschema.Schema, delta, marg
 		}
 	}
 	e := enumerator{SchemaView: p.View(s), ctx: ctx, done: done, schema: s.Name, parent: p.parent,
-		margin: margin, limit: delta + 1e-12, allowed: allowed, yield: yield,
+		margin: margin, limit: delta + ThresholdEps, allowed: allowed, yield: yield,
 		targets: make([]int, p.m), used: make([]bool, s.Len())}
 	e.assign(0, 0)
 	if e.stopped {

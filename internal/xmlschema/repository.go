@@ -3,6 +3,7 @@ package xmlschema
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Ref identifies one element globally across a repository: the schema
@@ -33,6 +34,8 @@ type Repository struct {
 	// sealed marks a repository that backs a Snapshot: it is immutable
 	// and Add fails with ErrSealed. See NewSnapshot.
 	sealed bool
+	// vocab caches a sealed repository's Vocabulary.
+	vocab atomic.Pointer[Vocabulary]
 }
 
 // NewRepository returns an empty repository.

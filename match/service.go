@@ -988,7 +988,7 @@ func (s *Service) matchAt(ctx context.Context, st *serviceState, req Request) (*
 	if req.System == nil && !nonExhaustive && req.Delta == s.MaxDelta() {
 		s.seedBaseline(e, set)
 	}
-	if nonExhaustive && (s.truth != nil || s.s1Curve != nil) && req.Delta <= s.MaxDelta()+1e-12 {
+	if nonExhaustive && (s.truth != nil || s.s1Curve != nil) && req.Delta <= s.MaxDelta()+matching.ThresholdEps {
 		boundsStart := time.Now()
 		boundsCtx, boundsSpan := obs.StartSpan(ctx, "baseline_wait")
 		b, err := s.boundsFor(boundsCtx, e, set, req.Delta)
@@ -1007,7 +1007,7 @@ func (s *Service) matchAt(ctx context.Context, st *serviceState, req Request) (*
 func (s *Service) boundsFor(ctx context.Context, e *session, set *matching.AnswerSet, delta float64) (bounds.Curve, error) {
 	// The threshold prefix the request's δ covers.
 	k := 0
-	for k < len(s.thresholds) && s.thresholds[k] <= delta+1e-12 {
+	for k < len(s.thresholds) && s.thresholds[k] <= delta+matching.ThresholdEps {
 		k++
 	}
 	if k == 0 {

@@ -272,44 +272,25 @@ func (s *Service) rebaseSession(old *session, nst *serviceState, diff xmlschema.
 // churning schemas for days must not accumulate score entries for
 // names retired long ago.
 func (s *Service) pruneMemo(nst *serviceState, diff xmlschema.Diff) {
-	if s.memo == nil {
+	if s.memo == nil || len(diff.Removed)+len(diff.Replaced) == 0 {
 		return
 	}
+	// The new snapshot's vocabulary is its live-name set; rebasing the
+	// warm sessions has usually built it already.
+	live := nst.snap.Repository().Vocabulary()
 	retired := make(map[string]bool)
 	collect := func(sch *xmlschema.Schema) {
-		sch.Walk(func(e *xmlschema.Element) bool {
-			retired[e.Name] = true
-			return true
-		})
+		for _, e := range sch.Elements() {
+			if _, ok := live.Index(e.Name); !ok {
+				retired[e.Name] = true
+			}
+		}
 	}
 	for _, sch := range diff.Removed {
 		collect(sch)
 	}
 	for _, ch := range diff.Replaced {
 		collect(ch.Old)
-	}
-	if len(retired) == 0 {
-		return
-	}
-	// Names still present in the new snapshot survive. The applied
-	// index knows the live-name set exactly; without one, walk the
-	// repository.
-	if ix, err, done := nst.builtIndex(); done && err == nil && ix != nil {
-		for n := range retired {
-			if ix.HasName(n) {
-				delete(retired, n)
-			}
-		}
-	} else {
-		for _, sch := range nst.snap.Schemas() {
-			if len(retired) == 0 {
-				break
-			}
-			sch.Walk(func(e *xmlschema.Element) bool {
-				delete(retired, e.Name)
-				return len(retired) > 0
-			})
-		}
 	}
 	if len(retired) == 0 {
 		return
