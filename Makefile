@@ -153,18 +153,19 @@ store-smoke:
 bench-verify:
 	cd benchmark && GOWORK=off GOPROXY=off GOTOOLCHAIN=local $(GO) test ./...
 
-# Engine memoization benchmarks (memoized vs uncached scoring).
+# Scoring-engine benchmarks: one cost-table build plus the exhaustive
+# match through the scorer, and the per-pair metric and kernel costs.
 bench:
-	$(GO) test -bench 'BenchmarkEngine' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineBuildAndMatch|BenchmarkMetric|BenchmarkKernel' -benchmem .
 
-# Perf-harness smoke: run every engine and figure benchmark — plus the
+# Perf-harness smoke: run the engine and every figure benchmark — plus the
 # incremental-vs-rebuild index maintenance benchmark and the 1-vs-4
 # shard scatter-gather comparison — for a single iteration so harness
 # rot (broken fixtures, diverged answer sets) is caught by the gate
 # without paying full benchmark time.
 bench-smoke:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkEngine|BenchmarkFig|BenchmarkIndexIncrementalVsRebuild|BenchmarkShardedScatterGather|BenchmarkCandidateIndex|BenchmarkKernel' \
+		-bench 'BenchmarkEngineBuildAndMatch|BenchmarkFig|BenchmarkIndexIncrementalVsRebuild|BenchmarkShardedScatterGather|BenchmarkCandidateIndex|BenchmarkKernel' \
 		-benchtime 1x .
 
 # Record the perf trajectory: run the benchmark suite plus a short

@@ -327,23 +327,22 @@ func BenchmarkShardedScatterGather(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine benchmarks: memoized vs uncached scoring on the Figure-8/9
+// Engine benchmark: one problem build plus the parallel exhaustive
+// matcher at δ = 0.45 through a fresh scorer, on the Figure-8/9
 // workload (the 100-schema scenario every figure benchmark runs on).
-// Each benchmark builds the problem's cost tables through its scorer
-// and runs the parallel exhaustive matcher at δ = 0.45, then checks the
-// answer set is identical to the fixture's exhaustive baseline — the
-// speedup must come purely from memoization, never from changed scores.
+// The answer set is checked against the fixture's exhaustive baseline.
 // ---------------------------------------------------------------------------
 
-// benchEngineBuildAndMatch is the shared body: problem build + S1 match
-// through the given scorer, with output verification against fix.pl.S1.
-func benchEngineBuildAndMatch(b *testing.B, scorer func() engine.Scorer) {
+// BenchmarkEngineBuildAndMatch times one cost-table build — each
+// distinct (personal, repository) name pair scored once through the
+// kernel — and the S1 match over it.
+func BenchmarkEngineBuildAndMatch(b *testing.B) {
 	fixture(b)
 	delta := fix.pl.MaxDelta()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := matching.DefaultConfig()
-		cfg.Scorer = scorer()
+		cfg.Scorer = engine.New(nil)
 		prob, err := matching.NewProblem(fix.scenario.Personal, fix.scenario.Repo, cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -359,29 +358,6 @@ func benchEngineBuildAndMatch(b *testing.B, scorer func() engine.Scorer) {
 			b.Fatalf("answer set diverged: %v", err)
 		}
 	}
-}
-
-// BenchmarkEngineUncached is the baseline: every problem build pays the
-// full string-metric cost for every distinct (personal, repository)
-// name pair.
-func BenchmarkEngineUncached(b *testing.B) {
-	benchEngineBuildAndMatch(b, func() engine.Scorer { return engine.NewUncached(nil) })
-}
-
-// BenchmarkEngineMemoizedCold starts from an empty memo every
-// iteration. A build already scores each distinct name pair once, so a
-// cold memo saves nothing within it: the gap to
-// BenchmarkEngineUncached is the memo's own overhead.
-func BenchmarkEngineMemoizedCold(b *testing.B) {
-	benchEngineBuildAndMatch(b, func() engine.Scorer { return engine.New(nil) })
-}
-
-// BenchmarkEngineMemoizedShared reuses one memo across iterations —
-// the steady state of a pipeline that shares its scorer across deltas,
-// improvements, and repeated problem builds.
-func BenchmarkEngineMemoizedShared(b *testing.B) {
-	shared := engine.New(nil)
-	benchEngineBuildAndMatch(b, func() engine.Scorer { return shared })
 }
 
 // ---------------------------------------------------------------------------
@@ -439,9 +415,6 @@ func benchMetric(b *testing.B, m similarity.Metric) {
 func BenchmarkMetricEdit(b *testing.B)        { benchMetric(b, similarity.EditSim{}) }
 func BenchmarkMetricJaroWinkler(b *testing.B) { benchMetric(b, similarity.JaroWinklerSim{}) }
 func BenchmarkMetricDefault(b *testing.B)     { benchMetric(b, similarity.DefaultNameMetric()) }
-func BenchmarkMetricDefaultCached(b *testing.B) {
-	benchMetric(b, similarity.NewCached(similarity.DefaultNameMetric()))
-}
 
 // kernelBenchShapes are the pair shapes the kernel perf trail pins:
 // short ASCII (the common case, single-word Myers), long Unicode
@@ -511,7 +484,6 @@ type candBenchShape struct {
 	scenario *synth.Scenario
 	index    *candindex.Index
 	answers  *matching.AnswerSet // unfiltered exhaustive baseline at candBenchDelta
-	shared   *engine.Memo        // warm memo: the service's steady state
 }
 
 var (
@@ -541,9 +513,8 @@ func candBenchFixture(b *testing.B) map[string]*candBenchShape {
 			if err != nil {
 				panic(err)
 			}
-			shared := engine.New(nil)
 			mcfg := matching.DefaultConfig()
-			mcfg.Scorer = shared // the baseline build warms the memo
+			mcfg.Scorer = scorer
 			prob, err := matching.NewProblem(sc.Personal, sc.Repo, mcfg)
 			if err != nil {
 				panic(err)
@@ -552,17 +523,17 @@ func candBenchFixture(b *testing.B) map[string]*candBenchShape {
 			if err != nil {
 				panic(err)
 			}
-			candBenchFix[shape] = &candBenchShape{scenario: sc, index: ix, answers: set, shared: shared}
+			candBenchFix[shape] = &candBenchShape{scenario: sc, index: ix, answers: set}
 		}
 	})
 	return candBenchFix
 }
 
 // candBenchProblem builds one problem over a shape's corpus — filtered
-// through its candidate index or unfiltered — through the given scorer.
-func candBenchProblem(b *testing.B, sh *candBenchShape, scorer engine.Scorer, filtered bool) *matching.Problem {
+// through its candidate index or unfiltered — through a fresh scorer.
+func candBenchProblem(b *testing.B, sh *candBenchShape, filtered bool) *matching.Problem {
 	cfg := matching.DefaultConfig()
-	cfg.Scorer = scorer
+	cfg.Scorer = engine.New(nil)
 	if filtered {
 		cfg.Candidates = sh.index
 		cfg.CandidateDelta = candBenchDelta
@@ -592,56 +563,39 @@ func candBenchVerify(b *testing.B, sh *candBenchShape, prob *matching.Problem) {
 
 // BenchmarkCandidateIndex times the cost-table build (problem
 // construction) on the 1200-schema corpus, filtered vs unfiltered, on
-// both corpus shapes. "cold" pays a fresh memo's metric evaluations
-// every iteration; the unsuffixed variants share one warm memo — the
-// service's steady state, where the table fill itself is the cost and
-// the candidate filter's pruning shows its full effect. Every filtered
-// sub-benchmark verifies answer-set parity before timing and reports
-// the fraction of pairs pruned.
+// both corpus shapes. Every filtered sub-benchmark verifies answer-set
+// parity before timing and reports the fraction of pairs pruned.
 func BenchmarkCandidateIndex(b *testing.B) {
 	shapes := candBenchFixture(b)
 	for _, shape := range []string{"uniform", "zipf"} {
 		sh := shapes[shape]
-		scorers := []struct {
-			name string
-			mk   func() engine.Scorer
-		}{
-			{"cold", func() engine.Scorer { return engine.New(nil) }},
-			{"", func() engine.Scorer { return sh.shared }},
-		}
-		for _, sc := range scorers {
-			suffix := ""
-			if sc.name != "" {
-				suffix = "-" + sc.name
+		b.Run(shape+"/unfiltered", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				prob := candBenchProblem(b, sh, false)
+				if i == 0 {
+					b.StopTimer()
+					candBenchVerify(b, sh, prob)
+					b.StartTimer()
+				}
 			}
-			b.Run(shape+"/unfiltered"+suffix, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					prob := candBenchProblem(b, sh, sc.mk(), false)
-					if i == 0 {
-						b.StopTimer()
-						candBenchVerify(b, sh, prob)
-						b.StartTimer()
-					}
+		})
+		b.Run(shape+"/filtered", func(b *testing.B) {
+			var cs matching.CandidateStats
+			for i := 0; i < b.N; i++ {
+				prob := candBenchProblem(b, sh, true)
+				var ok bool
+				if cs, ok = prob.CandidateStats(); !ok {
+					b.Fatal("filtered problem reports no candidate stats")
 				}
-			})
-			b.Run(shape+"/filtered"+suffix, func(b *testing.B) {
-				var cs matching.CandidateStats
-				for i := 0; i < b.N; i++ {
-					prob := candBenchProblem(b, sh, sc.mk(), true)
-					var ok bool
-					if cs, ok = prob.CandidateStats(); !ok {
-						b.Fatal("filtered problem reports no candidate stats")
-					}
-					if i == 0 {
-						b.StopTimer()
-						candBenchVerify(b, sh, prob)
-						b.StartTimer()
-					}
+				if i == 0 {
+					b.StopTimer()
+					candBenchVerify(b, sh, prob)
+					b.StartTimer()
 				}
-				b.ReportMetric(cs.Ratio(), "pruned/pairs")
-				b.ReportMetric(float64(cs.SkippedSchemas), "schemas-skipped")
-			})
-		}
+			}
+			b.ReportMetric(cs.Ratio(), "pruned/pairs")
+			b.ReportMetric(float64(cs.SkippedSchemas), "schemas-skipped")
+		})
 	}
 }
 

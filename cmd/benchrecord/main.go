@@ -1,6 +1,6 @@
 // Command benchrecord snapshots the repository's performance
 // trajectory. In record mode (the default) it runs the benchmark suite
-// (engine memoization, incremental index maintenance, sharded
+// (engine build-and-match, incremental index maintenance, sharded
 // scatter-gather, candidate-index pruning) plus a short matchload
 // replay, and writes the parsed results to the next free BENCH_<n>.json
 // so successive PRs leave a comparable perf trail. In -check mode it

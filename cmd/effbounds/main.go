@@ -82,7 +82,7 @@ func run(args []string) error {
 	var runOne, runTwo *core.Run
 	scfg := synth.DefaultConfig(*seed)
 	scfg.NumSchemas = *schemas
-	// One memoized scoring engine spans every figure and ablation of
+	// One scoring engine spans every figure and ablation of
 	// this invocation; pipelines, matchers, and cluster indexes all draw
 	// node-pair scores from it.
 	opt := core.Options{

@@ -19,19 +19,19 @@
 // append-friendly log file (internal/store) that records a base
 // snapshot plus one diff record per update. At boot the directory is
 // recovered eagerly — each log replays to its exact pre-crash
-// Version(), the cluster index is rehydrated when its persisted state
-// passes the nearest-medoid parity self-check, and a bounded warm
-// slice of the scoring memo is seeded after spot re-verification.
-// Corpus tenants not present in the store are persisted on
+// Version(). The store holds repository state only, so a recovered
+// tenant builds its cluster index on first use, like any fresh one;
+// index and memo records left by older versions are checked and
+// skipped. Corpus tenants not present in the store are persisted on
 // registration; a tenant present in both serves the store's (newer)
 // state. Logs are compacted into a fresh base record periodically
 // (-compact-after/-compact-interval) and once more at shutdown, after
 // the drain, so the next boot replays nothing.
 //
-// At most -resident tenant services (scoring memo, cluster index,
-// sessions) stay resident at once; the rest are LRU-evicted and rebuilt
-// on their next request. 0 selects match.Server's default of 8 — there
-// is no unbounded setting.
+// At most -resident tenant services (cluster index, sessions) stay
+// resident at once; the rest are LRU-evicted and rebuilt on their next
+// request. 0 selects match.Server's default of 8 — there is no
+// unbounded setting.
 //
 // Usage:
 //
@@ -39,7 +39,7 @@
 //	       [-token T1,T2] [-admin-token A1] [-tls-cert F -tls-key F]
 //	       [-workers N] [-queue N] [-resident N] [-tenant-limit N]
 //	       [-shards K] [-drain-timeout D] [-max-body N] [-quiet]
-//	       [-store-sync] [-compact-after N] [-compact-interval D] [-store-memo N]
+//	       [-store-sync] [-compact-after N] [-compact-interval D]
 //
 //	schemagen -out /tmp/corpus -tenants 4 -personals 4
 //	matchd -corpus /tmp/corpus -store-dir /var/lib/matchd -addr 127.0.0.1:8080
@@ -145,7 +145,6 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) error {
 
 		storeDir        = fs.String("store-dir", "", "durable per-tenant store directory (empty: in-memory only)")
 		storeSync       = fs.Bool("store-sync", false, "fsync the store after every append (survive power loss, not just crashes)")
-		storeMemo       = fs.Int("store-memo", 4096, "warm scoring-memo entries persisted per compaction (0: none)")
 		compactAfter    = fs.Int("compact-after", 64, "diff records per tenant log before the periodic compactor rewrites it")
 		compactInterval = fs.Duration("compact-interval", time.Minute, "periodic compaction cadence (0: disabled)")
 	)
@@ -173,7 +172,7 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) error {
 	var sr *storeRuntime
 	if *storeDir != "" {
 		var err error
-		if sr, err = openStoreRuntime(*storeDir, *storeSync, *storeMemo, *compactAfter); err != nil {
+		if sr, err = openStoreRuntime(*storeDir, *storeSync, *compactAfter); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
 	}
@@ -215,14 +214,8 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) error {
 			return err
 		}
 		if len(recovered) > 0 {
-			warm := 0
-			for _, ri := range sr.recovered {
-				if ri.indexRestored {
-					warm++
-				}
-			}
-			fmt.Fprintf(out, "matchd: recovered %d tenants from %s (%d with warm index) in %s\n",
-				len(recovered), *storeDir, warm, time.Since(t0).Round(time.Millisecond))
+			fmt.Fprintf(out, "matchd: recovered %d tenants from %s in %s\n",
+				len(recovered), *storeDir, time.Since(t0).Round(time.Millisecond))
 		}
 	}
 	names := make([]string, 0, len(repos))
@@ -336,8 +329,7 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) error {
 	}
 	if sr != nil {
 		// Shutdown compaction: each resident tenant's log becomes one
-		// fresh base plus warm index/memo hints, so the next boot replays
-		// zero diffs and serves warm.
+		// fresh base, so the next boot replays zero diffs.
 		sr.shutdownCompact(targets, out)
 	}
 	st := srv.Stats()

@@ -9,9 +9,7 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/httpserve"
-	"repro/internal/matchers/clustered"
 	"repro/internal/store"
 	"repro/match"
 )
@@ -20,24 +18,20 @@ import (
 // the log line and the /metrics gauges. The map is written during boot
 // only and read-only afterwards.
 type recoveryInfo struct {
-	seconds       float64
-	version       uint64
-	indexRestored bool
-	memoSeeded    int
+	seconds float64
+	version uint64
 }
 
 // storeRuntime bundles the daemon's durable-store state.
 type storeRuntime struct {
 	st          *store.Store
 	recovered   map[string]recoveryInfo
-	metricName  string
-	memoSlice   int // warm-memo entries persisted per compaction (0: none)
 	compactWhen int // diff-record threshold of the periodic compactor
 }
 
 // openStoreRuntime opens (creating if absent) the durable store and
 // wraps it with the daemon's recovery/compaction policy.
-func openStoreRuntime(dir string, sync bool, memoSlice, compactWhen int) (*storeRuntime, error) {
+func openStoreRuntime(dir string, sync bool, compactWhen int) (*storeRuntime, error) {
 	st, err := store.Open(dir, store.Options{Sync: sync})
 	if err != nil {
 		return nil, err
@@ -45,18 +39,15 @@ func openStoreRuntime(dir string, sync bool, memoSlice, compactWhen int) (*store
 	return &storeRuntime{
 		st:          st,
 		recovered:   map[string]recoveryInfo{},
-		metricName:  engine.New(nil).MetricName(),
-		memoSlice:   memoSlice,
 		compactWhen: compactWhen,
 	}, nil
 }
 
 // recoverTenants loads every tenant the store holds, eagerly: each log
-// is replayed to its exact committed version, the cluster index is
-// rehydrated (with the nearest-medoid parity self-check) and the warm
-// memo slice seeded (with spot re-computation) when their hints
-// validate, and the tenant is registered with a factory serving the
-// recovered snapshot. A log that cannot produce a state (no base, bad
+// is replayed to its exact committed version and the tenant is
+// registered with a factory serving the recovered snapshot (its
+// cluster index builds on the first clustered request, as on any
+// fresh service). A log that cannot produce a state (no base, bad
 // header) is reported with its typed error and NOT served — the
 // caller may still register the tenant from a corpus file.
 func (sr *storeRuntime) recoverTenants(srv *match.Server, shards int, out io.Writer) (map[string]bool, error) {
@@ -77,49 +68,25 @@ func (sr *storeRuntime) recoverTenants(srv *match.Server, shards int, out io.Wri
 				name, ts.Report.DroppedBytes, ts.Report.TailError, ts.Version())
 		}
 
-		// The scorer the tenant's whole serving stack will share; hints
-		// are validated against it so nothing persisted under another
-		// metric can serve.
-		memo := engine.New(nil)
-		info := recoveryInfo{version: ts.Version()}
-		if len(ts.Memo) > 0 && ts.MemoMetric == memo.MetricName() {
-			if err := memo.Seed(ts.Memo, 32); err == nil {
-				info.memoSeeded = len(ts.Memo)
-			}
-		}
-		var ix *clustered.Index
-		if ts.Index != nil && ts.IndexMetric == memo.MetricName() {
-			if restored, err := clustered.Restore(ts.Snapshot.Repository(), *ts.Index, memo); err == nil {
-				ix = restored
-				info.indexRestored = true
-			} else {
-				fmt.Fprintf(out, "matchd: store: tenant %q: index hint rejected (%v), will re-cluster lazily\n", name, err)
-			}
-		}
-
 		snap, handle := ts.Snapshot, sr.st.Tenant(name)
-		opts := []match.Option{match.WithScorer(memo), match.WithStore(handle)}
+		opts := []match.Option{match.WithStore(handle)}
 		if shards > 0 {
 			opts = append(opts, match.WithShards(shards))
-		}
-		if ix != nil {
-			opts = append(opts, match.WithRestoredIndex(ix))
 		}
 		if err := srv.Register(name, func() (*match.Service, error) {
 			return match.NewServiceFromSnapshot(snap, opts...)
 		}); err != nil {
 			return nil, fmt.Errorf("tenant %s: %w", name, err)
 		}
-		info.seconds = time.Since(t0).Seconds()
-		sr.recovered[name] = info
+		sr.recovered[name] = recoveryInfo{seconds: time.Since(t0).Seconds(), version: ts.Version()}
 		recovered[name] = true
 	}
 	return recovered, nil
 }
 
 // compactTenant compacts one tenant's log. A resident tenant compacts
-// from its live service (carrying the built index state and a bounded
-// warm memo slice); a non-resident one compacts from the log itself.
+// from its live service; a non-resident one compacts from the log
+// itself.
 func (sr *storeRuntime) compactTenant(srv *match.Server, name string) error {
 	ten := sr.st.Tenant(name)
 	tstats, err := srv.TenantStats(name)
@@ -135,18 +102,7 @@ func (sr *storeRuntime) compactTenant(srv *match.Server, name string) error {
 
 // compactService compacts name's log from a live service handle.
 func (sr *storeRuntime) compactService(svc *match.Service, name string) error {
-	var ixState *clustered.State
-	if st, ok := svc.IndexState(); ok {
-		ixState = st
-	}
-	var entries []engine.MemoEntry
-	if sr.memoSlice > 0 {
-		if memo, ok := svc.Scorer().(*engine.Memo); ok {
-			entries = memo.Entries(sr.memoSlice)
-		}
-	}
-	return sr.st.Tenant(name).Compact(svc.Version(), svc.Repository(),
-		sr.metricName, ixState, sr.metricName, entries)
+	return sr.st.Tenant(name).Compact(svc.Version(), svc.Repository())
 }
 
 // compactor periodically compacts every tenant whose log accumulated
@@ -202,9 +158,8 @@ func residentTargets(srv *match.Server) []compactTarget {
 	return out
 }
 
-// shutdownCompact rewrites every captured tenant's log as a fresh base
-// (plus warm index/memo hints), so the next boot recovers with zero
-// diff replay and a warm cluster index.
+// shutdownCompact rewrites every captured tenant's log as a fresh base,
+// so the next boot recovers with zero diff replay.
 func (sr *storeRuntime) shutdownCompact(targets []compactTarget, out io.Writer) {
 	for _, tgt := range targets {
 		if err := sr.compactService(tgt.svc, tgt.name); err != nil {
@@ -240,7 +195,6 @@ func (sr *storeRuntime) metricsProvider() func() []httpserve.StoreTenantMetrics 
 			if ri, ok := sr.recovered[name]; ok {
 				m.RecoverySeconds = ri.seconds
 				m.RecoveredVersion = ri.version
-				m.IndexRestored = ri.indexRestored
 			}
 			out = append(out, m)
 		}

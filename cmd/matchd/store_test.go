@@ -61,7 +61,7 @@ func metricValue(t *testing.T, text, family, tenant string) float64 {
 // with a corpus and a store, churn every tenant over the wire, build
 // the cluster indexes, SIGTERM, then reboot from the store alone and
 // require every tenant back at its exact pre-kill version with
-// identical answers and a warm (restored, not re-clustered) index.
+// identical answers and no gap heals.
 func TestDaemonColdStartRecovery(t *testing.T) {
 	corpusDir := t.TempDir()
 	fleet := writeCorpus(t, corpusDir, 43, 2, 2, 10)
@@ -133,7 +133,7 @@ func TestDaemonColdStartRecovery(t *testing.T) {
 	defer cl2.Close()
 
 	// Before any request: recovery gauges say every tenant came back at
-	// its exact pre-kill version with a restored index and no heals.
+	// its exact pre-kill version with no heals.
 	text, err := cl2.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -145,14 +145,11 @@ func TestDaemonColdStartRecovery(t *testing.T) {
 		if v := metricValue(t, text, "matchd_store_tail_version", tn.Name); uint64(v) != versions[tn.Name] {
 			t.Fatalf("%s: durable tail at version %v, want %d", tn.Name, v, versions[tn.Name])
 		}
-		if v := metricValue(t, text, "matchd_store_index_restored", tn.Name); v != 1 {
-			t.Fatalf("%s: cluster index not restored from the log\n%s", tn.Name, out2.String())
-		}
 		if v := metricValue(t, text, "matchd_store_gap_heals_total", tn.Name); v != 0 {
 			t.Fatalf("%s: %v gap heals on a clean recovery", tn.Name, v)
 		}
-		// The shutdown compaction rewrote the log to a single base plus
-		// hints, so a clean recovery replays zero diffs.
+		// The shutdown compaction rewrote the log to a single base, so a
+		// clean recovery replays zero diffs.
 		if v := metricValue(t, text, "matchd_store_diff_records", tn.Name); v != 0 {
 			t.Fatalf("%s: %v diff records after shutdown compaction", tn.Name, v)
 		}

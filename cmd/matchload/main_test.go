@@ -16,7 +16,7 @@ func TestRunTiny(t *testing.T) {
 		t.Fatalf("matchload run: %v\noutput:\n%s", err, b.String())
 	}
 	out := b.String()
-	for _, want := range []string{"fleet:", "completed", "latency", "tenant000", "cacheHit%"} {
+	for _, want := range []string{"fleet:", "completed", "latency", "tenant000", "pairsScored"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
@@ -59,7 +59,7 @@ func TestRunChurn(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"churn:", "zero failures", "incremental update",
-		"full rebuild", "post-update cache-hit recovery", "recoveryHit%",
+		"full rebuild", "post-update scoring", "pairsScored",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

@@ -191,17 +191,13 @@ func runRemote(out io.Writer, rr remoteRun) error {
 	if !rr.quiet {
 		fmt.Fprintln(out)
 		w := tabwriter.NewWriter(out, 0, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "tenant\tresident\tcacheEntries\tcacheHit%")
+		fmt.Fprintln(w, "tenant\tresident\tpairsScored")
 		for _, tn := range rr.fleet {
 			ts, err := cl.TenantStats(ctx, tn.Name)
 			if err != nil {
 				return err
 			}
-			hitRate := 0.0
-			if total := ts.Cache.Hits + ts.Cache.Misses; total > 0 {
-				hitRate = float64(ts.Cache.Hits) / float64(total)
-			}
-			fmt.Fprintf(w, "%s\t%v\t%d\t%.1f\n", ts.Tenant, ts.Resident, ts.Cache.Entries, 100*hitRate)
+			fmt.Fprintf(w, "%s\t%v\t%d\n", ts.Tenant, ts.Resident, ts.Cache.Misses)
 		}
 		if err := w.Flush(); err != nil {
 			return err

@@ -26,6 +26,6 @@
 // See README.md for a package tour and how to regenerate the paper's
 // figures. The root package holds the benchmark harness
 // (bench_test.go): one benchmark per reproduced figure, matcher and
-// bounds ablations, and the scoring-engine memoization benchmarks;
+// bounds ablations, and the scoring-engine build-and-match benchmark;
 // `make bench-smoke` runs each for one iteration as a rot check.
 package repro

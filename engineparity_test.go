@@ -1,9 +1,10 @@
 // Determinism guarantee of the scoring engine: every matcher must
 // return bit-identical answer sets whether its problem was built over
-// the memoized engine or over a plain uncached metric. This is the
-// property that makes the memoized fast path a drop-in replacement —
-// the paper's containment and bounds arguments all assume the
-// objective function is unchanged.
+// the engine's compiled kernel (row sessions, pooled per-pair calls)
+// or over the reference metric called pair by pair. This is the
+// property that makes the kernel a drop-in replacement — the paper's
+// containment and bounds arguments all assume the objective function
+// is unchanged.
 package repro_test
 
 import (
@@ -15,6 +16,7 @@ import (
 	"repro/internal/matchers/clustered"
 	"repro/internal/matchers/topk"
 	"repro/internal/matching"
+	"repro/internal/similarity"
 	"repro/internal/synth"
 	"repro/match"
 )
@@ -41,44 +43,60 @@ func problemWith(t *testing.T, sc *synth.Scenario, scorer engine.Scorer) *matchi
 	return prob
 }
 
-func assertIdenticalSets(t *testing.T, name string, cached, uncached *matching.AnswerSet) {
+// metricScorer is the reference route: the metric itself, pair by
+// pair, with no kernel and no row sessions.
+type metricScorer struct{ m similarity.Metric }
+
+func (r metricScorer) Score(a, b string) float64 { return r.m.Similarity(a, b) }
+func (r metricScorer) MetricName() string        { return r.m.Name() }
+
+func reference() engine.Scorer { return metricScorer{similarity.DefaultNameMetric()} }
+
+func assertIdenticalSets(t *testing.T, name string, kernel, ref *matching.AnswerSet) {
 	t.Helper()
-	if cached.Len() != uncached.Len() {
-		t.Fatalf("%s: cached %d answers, uncached %d", name, cached.Len(), uncached.Len())
+	if kernel.Len() != ref.Len() {
+		t.Fatalf("%s: kernel %d answers, reference %d", name, kernel.Len(), ref.Len())
 	}
-	ca, ua := cached.All(), uncached.All()
-	for i := range ca {
-		if !ca[i].Mapping.Equal(ua[i].Mapping) {
-			t.Fatalf("%s: rank %d maps %s (cached) vs %s (uncached)",
-				name, i, ca[i].Mapping.Key(), ua[i].Mapping.Key())
+	ka, ra := kernel.All(), ref.All()
+	for i := range ka {
+		if !ka[i].Mapping.Equal(ra[i].Mapping) {
+			t.Fatalf("%s: rank %d maps %s (kernel) vs %s (reference)",
+				name, i, ka[i].Mapping.Key(), ra[i].Mapping.Key())
 		}
-		if ca[i].Score != ua[i].Score {
-			t.Fatalf("%s: rank %d scored %v (cached) vs %v (uncached)",
-				name, i, ca[i].Score, ua[i].Score)
+		if ka[i].Score != ra[i].Score {
+			t.Fatalf("%s: rank %d scored %v (kernel) vs %v (reference)",
+				name, i, ka[i].Score, ra[i].Score)
 		}
 	}
 }
 
 // TestEngineParityAllMatchers runs every matcher family on a problem
-// built over the memoized engine and over the uncached baseline and
-// requires identical answer sets, scores included.
+// built over the engine and over the reference metric and requires
+// identical answer sets, scores included. It also pins the build's
+// work: an unfiltered problem scores each distinct personal name
+// against each distinct repository name exactly once, every build.
 func TestEngineParityAllMatchers(t *testing.T) {
 	sc := parityScenario(t)
-	memo := engine.New(nil)
-	probCached := problemWith(t, sc, memo)
-	probUncached := problemWith(t, sc, engine.NewUncached(nil))
+	scorer := engine.New(nil)
+	probKernel := problemWith(t, sc, scorer)
+	probRef := problemWith(t, sc, reference())
 	const delta = 0.45
 
-	// A build scores each distinct name pair once, so the first build
-	// over a fresh memo only misses, and a second build of the same
-	// problem is answered entirely from the memo.
-	first := memo.Stats()
-	if first.Misses == 0 {
-		t.Fatal("first build never missed the memo — engine not exercised")
+	distinct := map[string]bool{}
+	for _, e := range sc.Personal.Elements() {
+		distinct[e.Name] = true
 	}
-	problemWith(t, sc, memo)
-	if d := memo.Stats().Sub(first); d.Misses != 0 || d.Entries != 0 {
-		t.Errorf("second build on a warm memo: %d new misses, %d new entries; want 0, 0", d.Misses, d.Entries)
+	want := int64(len(distinct) * sc.Repo.Vocabulary().Len())
+	if got := scorer.Stats().Misses; got != want {
+		t.Fatalf("first build scored %d pairs, want %d distinct personal names × %d vocabulary names",
+			got, len(distinct), sc.Repo.Vocabulary().Len())
+	}
+	problemWith(t, sc, scorer)
+	if got := scorer.Stats().Misses; got != 2*want {
+		t.Errorf("second build scored %d pairs, want %d again", got-want, want)
+	}
+	if st := scorer.Stats(); st.Hits != 0 || st.Entries != 0 {
+		t.Errorf("stateless scorer reports %d hits, %d entries", st.Hits, st.Entries)
 	}
 
 	bm, err := beam.New(32)
@@ -97,26 +115,26 @@ func TestEngineParityAllMatchers(t *testing.T) {
 		tk,
 	}
 	for _, m := range matchers {
-		setCached, err := m.Match(probCached, delta)
+		setKernel, err := m.Match(probKernel, delta)
 		if err != nil {
-			t.Fatalf("%s cached: %v", m.Name(), err)
+			t.Fatalf("%s kernel: %v", m.Name(), err)
 		}
-		setUncached, err := m.Match(probUncached, delta)
+		setRef, err := m.Match(probRef, delta)
 		if err != nil {
-			t.Fatalf("%s uncached: %v", m.Name(), err)
+			t.Fatalf("%s reference: %v", m.Name(), err)
 		}
-		assertIdenticalSets(t, m.Name(), setCached, setUncached)
+		assertIdenticalSets(t, m.Name(), setKernel, setRef)
 	}
 }
 
 // TestEngineParityClustered covers the clusterer: the index built over
-// the memoized engine must restrict the search identically to one
-// built over the uncached baseline.
+// the engine must restrict the search identically to one built over
+// the reference metric.
 func TestEngineParityClustered(t *testing.T) {
 	sc := parityScenario(t)
-	memo := engine.New(nil)
-	probCached := problemWith(t, sc, memo)
-	probUncached := problemWith(t, sc, engine.NewUncached(nil))
+	scorer := engine.New(nil)
+	probKernel := problemWith(t, sc, scorer)
+	probRef := problemWith(t, sc, reference())
 
 	run := func(p *matching.Problem, scorer engine.Scorer) *matching.AnswerSet {
 		t.Helper()
@@ -134,7 +152,7 @@ func TestEngineParityClustered(t *testing.T) {
 		}
 		return set
 	}
-	assertIdenticalSets(t, "clustered", run(probCached, memo), run(probUncached, engine.NewUncached(nil)))
+	assertIdenticalSets(t, "clustered", run(probKernel, scorer), run(probRef, reference()))
 }
 
 // TestEngineParityFacade extends the determinism guarantee to the
@@ -144,12 +162,12 @@ func TestEngineParityClustered(t *testing.T) {
 // and cache management, never different answers.
 func TestEngineParityFacade(t *testing.T) {
 	sc := parityScenario(t)
-	memo := engine.New(nil)
-	prob := problemWith(t, sc, memo)
+	scorer := engine.New(nil)
+	prob := problemWith(t, sc, scorer)
 	const delta = 0.45
 
 	svc, err := match.NewService(sc.Repo,
-		match.WithScorer(memo),
+		match.WithScorer(scorer),
 		match.WithIndexConfig(clustered.IndexConfig{Seed: 17}),
 	)
 	if err != nil {
@@ -163,11 +181,11 @@ func TestEngineParityFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := clustered.BuildIndex(sc.Repo, clustered.IndexConfig{Seed: 17, Scorer: memo})
+	ix, err := clustered.BuildIndex(sc.Repo, clustered.IndexConfig{Seed: 17, Scorer: scorer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := clustered.New(ix, ix.K()/6+1, memo)
+	cm, err := clustered.New(ix, ix.K()/6+1, scorer)
 	if err != nil {
 		t.Fatal(err)
 	}

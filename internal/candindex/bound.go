@@ -20,8 +20,6 @@ func one(*profile, *profile, int) float64 { return 1 }
 // tree, if any, so profiles carry the matching class features.
 func compile(m similarity.Metric) (fn boundFn, nontrivial bool, dict *similarity.SynonymDict) {
 	switch t := m.(type) {
-	case *similarity.Cached:
-		return compile(t.Inner())
 	case similarity.SynonymSim:
 		base := t.Base
 		if base == nil {

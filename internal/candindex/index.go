@@ -14,10 +14,11 @@ import (
 type Config struct {
 	// Metric is the similarity metric the bounds must be admissible
 	// for — pass the exact metric the problem's Scorer computes (e.g.
-	// engine.Memo.Metric()). Nil selects similarity.DefaultNameMetric.
+	// engine.KernelScorer.Metric()). Nil selects
+	// similarity.DefaultNameMetric.
 	Metric similarity.Metric
 	// Profiles, when non-nil, is a profile interner to share — pass the
-	// scoring engine's (engine.Memo.Profiles()) so index and kernels
+	// scoring engine's (engine.KernelScorer.Profiles()) so index and kernels
 	// profile each distinct name once between them. It is only adopted
 	// when its synonym dictionary is the one discovered in Metric;
 	// otherwise a private interner is built, so a mismatched interner

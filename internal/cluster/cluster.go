@@ -11,7 +11,7 @@
 // agglomerative clustering — plus the silhouette quality index and a
 // symmetric distance matrix with O(1) lookup. Name-distance matrices
 // are built through the shared scoring engine (NewNameMatrix), so the
-// clusterer and the matchers draw node-pair scores from one memo table.
+// clusterer and the matchers score node pairs alike.
 package cluster
 
 import (
@@ -51,9 +51,8 @@ func NewMatrix(n int, dist DistFunc) (*Matrix, error) {
 // NewNameMatrix builds the pairwise name-distance matrix for names
 // through the scoring engine: the distance of names i and j is
 // 1 − sc.Score(names[i], names[j]). The all-pairs evaluation runs on
-// the engine's worker-pool builder (workers < 1 selects GOMAXPROCS),
-// so building a large index warms the same memo table the matchers
-// read from. The triangle layouts of engine.SymMatrix and Matrix are
+// the engine's worker-pool builder (workers < 1 selects GOMAXPROCS).
+// The triangle layouts of engine.SymMatrix and Matrix are
 // identical, so the scores transfer without re-indexing.
 func NewNameMatrix(names []string, sc engine.Scorer, workers int) (*Matrix, error) {
 	if sc == nil {

@@ -156,10 +156,9 @@ func AblationObjectiveWeights(opt Options, weights [][2]float64) (*FigureResult,
 		Title:  "objective weightings vs S1 effectiveness and bound validity",
 		Header: []string{"nameW", "structW", "S1 P@mid", "S1 R@mid", "boundsContainTruth"},
 	}
-	// One memoized scorer spans the whole sweep: the name scores do not
-	// depend on the objective weights, so every pipeline after the first
-	// builds its cost tables from cache hits. The precedence mirrors
-	// NewPipeline: Options.Scorer, then Match.Scorer, then a fresh memo.
+	// One scorer spans the whole sweep (the name scores do not depend
+	// on the objective weights). The precedence mirrors NewPipeline:
+	// Options.Scorer, then Match.Scorer, then a fresh engine.
 	scorer := opt.Scorer
 	if scorer == nil {
 		scorer = opt.Match.Scorer

@@ -28,20 +28,6 @@ import (
 	"repro/match"
 )
 
-// sharedScorers hands out the default scoring engines, keyed by
-// (problem, metric): pipelines built over the same corpus under the
-// same metric share one memo table. Explicit Options.Scorer /
-// Match.Scorer values bypass it. The cache is LRU-bounded so a process
-// sweeping many corpora (or a long-lived test binary) cannot grow it
-// without limit; services that outlive experiments should use
-// match.Service, which owns its scorer outright.
-var sharedScorers = engine.NewCacheWithLimit(32)
-
-// ResetSharedScorers drops the process-wide default scorers. Pipelines
-// already built keep their engines; only future default handouts start
-// cold.
-func ResetSharedScorers() { sharedScorers.Reset() }
-
 // Pipeline is one fully prepared experiment: scenario, problem, the
 // exhaustive system's answers, and its measured curve against the
 // planted truth. Matcher execution is delegated to the pipeline's
@@ -74,17 +60,15 @@ type Options struct {
 	Match matching.Config
 	// Thresholds of the δ sweep; nil selects eval.Thresholds(0, 0.45, 15).
 	Thresholds []float64
-	// Scorer is the shared scoring engine. Nil selects a fresh memoized
-	// engine over the default name metric (or Match.Scorer when that is
-	// set). Pass one scorer to several pipelines to share its cache
-	// across scenarios that reuse element names.
+	// Scorer is the scoring engine every stage shares. Nil selects
+	// Match.Scorer, or else a fresh engine over the default name metric.
 	Scorer engine.Scorer
 	// Seed for the default synth config when Synth is zero.
 	Seed uint64
 	// Index configures the service's clustered index. The zero value
 	// selects the pipeline default (Seed 17, as the paper-figure
 	// experiments use); a nil Index.Scorer inherits the pipeline
-	// scorer either way, so clustering always shares the memo.
+	// scorer either way, so clustering always scores like matching.
 	Index clustered.IndexConfig
 }
 
@@ -112,17 +96,7 @@ func NewPipeline(opt Options) (*Pipeline, error) {
 		scorer = mcfg.Scorer
 	}
 	if scorer == nil {
-		// Default scorers come from the process-wide (problem, metric)
-		// cache: two pipelines over the same corpus share one memo table
-		// even when the caller threads nothing. The key covers the synth
-		// parameters that shape the corpus; a residual collision (custom
-		// personal schemas sharing a name, or custom synonym dicts) still
-		// scores correctly — scorers are pure per metric — it merely
-		// blends cache stats across the colliding corpora.
-		scorer = sharedScorers.Scorer(
-			fmt.Sprintf("%s/synth(seed=%d,n=%d,plant=%g,size=%d-%d,branch=%d,perturb=%g)",
-				personal.Name, scfg.Seed, scfg.NumSchemas, scfg.PlantRate,
-				scfg.MinSize, scfg.MaxSize, scfg.MaxChildren, scfg.PerturbStrength), nil)
+		scorer = engine.New(nil)
 	}
 	mcfg.Scorer = scorer
 	thresholds := opt.Thresholds
@@ -142,8 +116,7 @@ func NewPipeline(opt Options) (*Pipeline, error) {
 		ixCfg.Scorer = scorer
 	}
 	// The façade owns everything matcher-side from here: problem cost
-	// tables, the baseline run (ParallelExhaustive, whose workers warm
-	// the shared memo for every later stage), the cluster index
+	// tables, the baseline run (ParallelExhaustive), the cluster index
 	// (seeded like the paper's experiments), and the bounds attached
 	// to improvement runs.
 	svc, err := match.NewService(sc.Repo,

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/synth"
 )
@@ -208,46 +207,5 @@ func TestRenderAlignment(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[3], "note: ") {
 		t.Errorf("notes not rendered: %q", lines[3])
-	}
-}
-
-// TestDefaultScorerSharedAcrossPipelines pins the (problem, metric)
-// cache wiring: two pipelines over the same corpus with no explicit
-// scorer must share one memoized engine, and the second build must be
-// served (at least partly) from cache hits; a different corpus must
-// get its own engine.
-func TestDefaultScorerSharedAcrossPipelines(t *testing.T) {
-	// Start from an empty process-global cache so the hit-count
-	// assertions below cannot be satisfied by earlier tests' corpora.
-	ResetSharedScorers()
-	opts := func(seed uint64) Options {
-		scfg := synth.DefaultConfig(seed)
-		scfg.NumSchemas = 12
-		return Options{Synth: scfg, Thresholds: eval.Thresholds(0, 0.3, 4)}
-	}
-	pl1, err := NewPipeline(opts(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl2, err := NewPipeline(opts(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl1.Scorer() != pl2.Scorer() {
-		t.Error("same corpus, default options: pipelines did not share a scorer")
-	}
-	memo, ok := pl1.Scorer().(*engine.Memo)
-	if !ok {
-		t.Fatalf("default scorer is %T, want *engine.Memo", pl1.Scorer())
-	}
-	if st := memo.Stats(); st.Hits == 0 {
-		t.Error("second pipeline build produced no cache hits")
-	}
-	pl3, err := NewPipeline(opts(22))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl3.Scorer() == pl1.Scorer() {
-		t.Error("different corpus shared the same default scorer")
 	}
 }

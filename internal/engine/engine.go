@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -11,302 +9,86 @@ import (
 
 // Scorer is the single source of node-pair similarity scores for the
 // matching system. Score returns the name similarity of a and b in
-// [0, 1]; MetricName identifies the underlying metric for reports and
-// cache keys. Implementations must be deterministic and safe for
-// concurrent use (see the package documentation for the full contract).
+// [0, 1]; MetricName identifies the underlying metric for reports.
+// Implementations must be deterministic and safe for concurrent use
+// (see the package documentation for the full contract).
 type Scorer interface {
 	// Score returns the similarity of the two names in [0, 1].
 	Score(a, b string) float64
-	// MetricName identifies the metric ("cached(combined(...))").
+	// MetricName identifies the metric ("combined(...)").
 	MetricName() string
 }
 
-// Uncached adapts a similarity.Metric to the Scorer interface without
-// memoization: every Score call pays the full metric cost. It is the
-// baseline the engine benchmarks compare Memo against.
-type Uncached struct {
-	metric similarity.Metric
-	// kern lazily holds the compiled row kernel; the pointer is shared
-	// by value copies so a metric is compiled at most once.
-	kern *kernelCell
+// KernelScorer is the scoring engine: a metric compiled into a
+// similarity.Kernel plus a count of the pairs scored. It holds no
+// scores — every Score call and every session row evaluates the
+// kernel, which returns exactly the metric's value — so one scorer can
+// serve any number of problems, services and goroutines, and two
+// scorers over the same metric always agree bit for bit.
+type KernelScorer struct {
+	kern *similarity.Kernel
+	// sessions pools the KernelSessions Score evaluates through, so a
+	// per-pair call reuses warm scratch instead of allocating it.
+	sessions sync.Pool
+	pairs    atomic.Int64
 }
 
-// NewUncached wraps metric; nil selects similarity.DefaultNameMetric.
-func NewUncached(metric similarity.Metric) Uncached {
-	if metric == nil {
-		metric = similarity.DefaultNameMetric()
-	}
-	return Uncached{metric: metric, kern: &kernelCell{}}
+// New returns a scorer over metric; nil selects
+// similarity.DefaultNameMetric.
+func New(metric similarity.Metric) *KernelScorer {
+	k := &KernelScorer{kern: similarity.NewKernel(metric)}
+	k.sessions.New = func() any { return k.kern.Session() }
+	return k
 }
+
+// NewUncached is New. It remains for callers that name the scorer
+// they want by what it does not do; there is only one scorer.
+func NewUncached(metric similarity.Metric) *KernelScorer { return New(metric) }
 
 // Score implements Scorer.
-func (u Uncached) Score(a, b string) float64 { return u.metric.Similarity(a, b) }
-
-// MetricName implements Scorer.
-func (u Uncached) MetricName() string { return u.metric.Name() }
-
-// Metric returns the wrapped metric — the source of truth a candidate
-// index must derive its similarity upper bounds from.
-func (u Uncached) Metric() similarity.Metric { return u.metric }
-
-// DefaultShards is the shard count of Memo scorers built with New. 64
-// shards keep lock contention negligible for the worker counts the
-// matchers use (GOMAXPROCS-bounded pools) while the per-shard maps stay
-// densely used.
-const DefaultShards = 64
-
-// Memo is the sharded, memoized similarity matrix: a Scorer that pays
-// the metric once per distinct ordered name pair and serves every later
-// evaluation from a per-shard locked table. One Memo is intended to be
-// shared across all matchers, threshold sweeps, and improvement runs of
-// a problem — that sharing is where the speedup comes from.
-type Memo struct {
-	metric similarity.Metric
-	shards []memoShard
-	// kern lazily holds the compiled row kernel backing NewSession and
-	// Profiles; Score itself keeps using the metric directly.
-	kern kernelCell
-}
-
-type memoShard struct {
-	mu    sync.RWMutex
-	table map[pairKey]float64
-	// hit/miss counters live per shard so the hot path never touches a
-	// cache line shared across shards.
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-// pairKey is the ordered (a, b) cache key; ordering is preserved so
-// asymmetric metrics memoize correctly.
-type pairKey struct {
-	a, b string
-}
-
-// New returns a Memo over metric with DefaultShards shards; nil selects
-// similarity.DefaultNameMetric.
-func New(metric similarity.Metric) *Memo { return NewSharded(metric, DefaultShards) }
-
-// NewSharded returns a Memo with the given shard count (values < 1
-// default to 1).
-func NewSharded(metric similarity.Metric, shards int) *Memo {
-	if metric == nil {
-		metric = similarity.DefaultNameMetric()
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	m := &Memo{metric: metric, shards: make([]memoShard, shards)}
-	for i := range m.shards {
-		m.shards[i].table = make(map[pairKey]float64)
-	}
-	return m
-}
-
-// shardOf hashes the ordered pair onto a shard: FNV-1a over a, a NUL
-// separator (names never contain NUL), and b. The hash is inlined over
-// the string bytes so the hit path — the path memoization exists to
-// make cheap — performs zero allocations. Row sessions hash the row
-// once with fnvRow and continue per column with shardCont.
-func (m *Memo) shardOf(a, b string) *memoShard {
-	return m.shardCont(fnvRow(a), b)
-}
-
-// fnvRow is the row half of shardOf's hash: FNV-1a over a plus the NUL
-// separator step.
-func fnvRow(a string) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(a); i++ {
-		h ^= uint32(a[i])
-		h *= prime32
-	}
-	h *= prime32 // NUL separator: h ^= 0 is a no-op
-	return h
-}
-
-// shardCont finishes fnvRow's hash over b and picks the shard.
-func (m *Memo) shardCont(h uint32, b string) *memoShard {
-	const prime32 = 16777619
-	for i := 0; i < len(b); i++ {
-		h ^= uint32(b[i])
-		h *= prime32
-	}
-	return &m.shards[h%uint32(len(m.shards))]
-}
-
-// Score implements Scorer with memoization.
-func (m *Memo) Score(a, b string) float64 {
-	key := pairKey{a, b}
-	sh := m.shardOf(a, b)
-	sh.mu.RLock()
-	v, ok := sh.table[key]
-	sh.mu.RUnlock()
-	if ok {
-		sh.hits.Add(1)
-		return v
-	}
-	sh.misses.Add(1)
-	v = m.metric.Similarity(a, b)
-	sh.mu.Lock()
-	sh.table[key] = v
-	sh.mu.Unlock()
+func (k *KernelScorer) Score(a, b string) float64 {
+	k.pairs.Add(1)
+	ks := k.sessions.Get().(*similarity.KernelSession)
+	v := ks.Similarity(a, b)
+	k.sessions.Put(ks)
 	return v
 }
 
 // MetricName implements Scorer.
-func (m *Memo) MetricName() string { return m.metric.Name() }
+func (k *KernelScorer) MetricName() string { return k.kern.Metric().Name() }
 
-// Metric returns the memoized metric — the source of truth a candidate
+// Metric returns the compiled metric — the source of truth a candidate
 // index must derive its similarity upper bounds from.
-func (m *Memo) Metric() similarity.Metric { return m.metric }
+func (k *KernelScorer) Metric() similarity.Metric { return k.kern.Metric() }
 
-// Remove deletes every memoized pair for which pred returns true and
-// reports how many entries were dropped. Scores are pure functions of
-// their name pair, so removal never changes results — it releases the
-// memory of entries that stopped earning their keep, e.g. pairs
-// touching names retired from a repository snapshot. Hit/miss counters
-// are left untouched; removed pairs simply miss (and re-memoize) on
-// their next Score call.
-func (m *Memo) Remove(pred func(a, b string) bool) int {
-	removed := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for k := range sh.table {
-			if pred(k.a, k.b) {
-				delete(sh.table, k)
-				removed++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return removed
-}
+// Profiles returns the interner backing the scorer's kernel, so
+// callers building a candidate index over the same metric can share
+// profiles instead of re-deriving them (candindex.Config.Profiles).
+func (k *KernelScorer) Profiles() *similarity.Interner { return k.kern.Interner() }
 
-// MemoEntry is one memoized score in exported form: the ordered name
-// pair and the metric value cached for it. It is the unit of warm-memo
-// persistence — a bounded slice of entries saved at shutdown and
-// seeded back at boot so a recovered service starts with a warm table.
-type MemoEntry struct {
-	A, B  string
-	Score float64
-}
+// Stats returns the scorer's cumulative counters.
+func (k *KernelScorer) Stats() Stats { return Stats{Misses: k.pairs.Load()} }
 
-// Entries exports up to max memoized entries (max ≤ 0: all), sorted by
-// (A, B) so the export is deterministic regardless of shard iteration
-// order. When the table exceeds max, the lexicographically first max
-// entries are returned — an arbitrary but stable bound; the memo is a
-// cache, so any slice of it is a valid warm hint.
-func (m *Memo) Entries(max int) []MemoEntry {
-	var out []MemoEntry
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for k, v := range sh.table {
-			out = append(out, MemoEntry{A: k.a, B: k.b, Score: v})
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	if max > 0 && len(out) > max {
-		out = out[:max]
-	}
-	return out
-}
-
-// Seed inserts persisted entries into the memo table. Persisted scores
-// are only trusted after spot verification: up to verify entries
-// (evenly spread over the slice) are recomputed against the metric,
-// and any disagreement beyond 1e-9 rejects the whole slice without
-// inserting anything — a memo seeded from a file written under a
-// different metric would silently change answer sets, which is exactly
-// what the durable store's corruption discipline forbids. Entries for
-// pairs already memoized are skipped (the live value wins).
-func (m *Memo) Seed(entries []MemoEntry, verify int) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	if verify > 0 {
-		if verify > len(entries) {
-			verify = len(entries)
-		}
-		step := len(entries) / verify
-		if step < 1 {
-			step = 1
-		}
-		for i := 0; i < len(entries); i += step {
-			e := entries[i]
-			got := m.metric.Similarity(e.A, e.B)
-			if diff := got - e.Score; diff > 1e-9 || diff < -1e-9 {
-				return fmt.Errorf("engine: seeded score %q/%q = %v disagrees with metric value %v",
-					e.A, e.B, e.Score, got)
-			}
-		}
-	}
-	for _, e := range entries {
-		sh := m.shardOf(e.A, e.B)
-		key := pairKey{e.A, e.B}
-		sh.mu.Lock()
-		if _, ok := sh.table[key]; !ok {
-			sh.table[key] = e.Score
-		}
-		sh.mu.Unlock()
-	}
-	return nil
-}
-
-// Stats is a point-in-time snapshot of a Memo's cache behaviour.
+// Stats is a point-in-time snapshot of a scorer's work.
 type Stats struct {
-	// Hits and Misses count Score calls served from and missing the
-	// table. A miss that races another miss on the same pair is still
-	// one miss per caller; both compute the (identical) value.
+	// Misses counts the pairs scored: one per Score call and one per
+	// column a session row evaluates. Hits is always 0: the scorer
+	// keeps no table to hit.
 	Hits, Misses int64
-	// Entries is the number of memoized pairs.
+	// Entries is always 0: the scorer holds no entries. Hits and
+	// Entries remain so the wire shape of the counters is unchanged.
 	Entries int
 }
 
-// Sub returns the traffic between two snapshots of the same Memo:
-// s - prev, counter by counter. Callers attributing cross-request
-// cache behaviour to one request (or one tenant) snapshot before and
-// after and keep the difference; under concurrency the attribution is
-// approximate, as concurrent traffic blends into whichever snapshots
-// are in flight.
+// Sub returns the work between two snapshots of the same scorer:
+// s - prev, counter by counter. Callers attributing it to one request
+// (or one tenant) snapshot before and after and keep the difference;
+// under concurrency the attribution is approximate, as concurrent
+// traffic blends into whichever snapshots are in flight.
 func (s Stats) Sub(prev Stats) Stats {
 	return Stats{
 		Hits:    s.Hits - prev.Hits,
 		Misses:  s.Misses - prev.Misses,
 		Entries: s.Entries - prev.Entries,
 	}
-}
-
-// HitRate returns Hits/(Hits+Misses), or 0 before any Score call.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
-// Stats returns a snapshot of the cache counters, summed over shards.
-func (m *Memo) Stats() Stats {
-	var st Stats
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		st.Entries += len(sh.table)
-		sh.mu.RUnlock()
-		st.Hits += sh.hits.Load()
-		st.Misses += sh.misses.Load()
-	}
-	return st
 }

@@ -4,123 +4,86 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/similarity"
 )
 
-// countingMetric wraps a metric with an atomic evaluation counter, so
-// tests can observe how much work memoization avoided.
-type countingMetric struct {
-	inner similarity.Metric
-	calls atomic.Int64
-}
-
-func (c *countingMetric) Similarity(a, b string) float64 {
-	c.calls.Add(1)
-	return c.inner.Similarity(a, b)
-}
-
-func (c *countingMetric) Name() string { return "counting(" + c.inner.Name() + ")" }
-
-func TestMemoMatchesMetric(t *testing.T) {
-	metric := similarity.DefaultNameMetric()
-	memo := New(metric)
+// TestScorerMatchesMetric pins the one scorer to the reference metric
+// bit for bit, for every registry metric, in both argument orders and
+// for repeated calls (which reuse pooled sessions).
+func TestScorerMatchesMetric(t *testing.T) {
 	pairs := [][2]string{
 		{"customerName", "client_name"},
 		{"zipcode", "postal_code"},
 		{"title", "title"},
 		{"", "x"},
+		{"customer full name", "name"},
+		{"İstanbul", "istanbul"},
 	}
-	for _, p := range pairs {
-		want := metric.Similarity(p[0], p[1])
-		if got := memo.Score(p[0], p[1]); got != want {
-			t.Errorf("Score(%q, %q) = %v, want %v", p[0], p[1], got, want)
+	for _, name := range similarity.MetricNames() {
+		metric, err := similarity.ByName(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Second call must hit the cache and return the same value.
-		if got := memo.Score(p[0], p[1]); got != want {
-			t.Errorf("cached Score(%q, %q) = %v, want %v", p[0], p[1], got, want)
-		}
-	}
-	st := memo.Stats()
-	if st.Entries != len(pairs) {
-		t.Errorf("Entries = %d, want %d", st.Entries, len(pairs))
-	}
-	if st.Hits != int64(len(pairs)) || st.Misses != int64(len(pairs)) {
-		t.Errorf("Hits/Misses = %d/%d, want %d/%d", st.Hits, st.Misses, len(pairs), len(pairs))
-	}
-	if hr := st.HitRate(); math.Abs(hr-0.5) > 1e-12 {
-		t.Errorf("HitRate = %v, want 0.5", hr)
-	}
-}
-
-func TestMemoOrderedKeys(t *testing.T) {
-	// Asymmetric metric: the ordered (a, b) key must keep both
-	// directions distinct.
-	asym := similarity.MongeElkan{Inner: similarity.JaroWinklerSim{}}
-	memo := New(asym)
-	a, b := "customer full name", "name"
-	if got, want := memo.Score(a, b), asym.Similarity(a, b); got != want {
-		t.Errorf("Score(a,b) = %v, want %v", got, want)
-	}
-	if got, want := memo.Score(b, a), asym.Similarity(b, a); got != want {
-		t.Errorf("Score(b,a) = %v, want %v", got, want)
-	}
-	if memo.Stats().Entries != 2 {
-		t.Errorf("Entries = %d, want 2 (ordered keys)", memo.Stats().Entries)
-	}
-}
-
-func TestMemoSerialEvaluatesOncePerPair(t *testing.T) {
-	cm := &countingMetric{inner: similarity.EditSim{}}
-	memo := New(cm)
-	for round := 0; round < 5; round++ {
-		for i := 0; i < 10; i++ {
-			for j := 0; j < 10; j++ {
-				memo.Score(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", j))
+		sc := New(metric)
+		for round := 0; round < 2; round++ {
+			for _, p := range pairs {
+				for _, ab := range [][2]string{p, {p[1], p[0]}} {
+					want := metric.Similarity(ab[0], ab[1])
+					if got := sc.Score(ab[0], ab[1]); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%s: Score(%q, %q) = %v, want %v", name, ab[0], ab[1], got, want)
+					}
+				}
 			}
 		}
+		if got, want := sc.Stats(), (Stats{Misses: int64(4 * len(pairs))}); got != want {
+			t.Errorf("%s: Stats = %+v, want %+v", name, got, want)
+		}
 	}
-	if got := cm.calls.Load(); got != 100 {
-		t.Errorf("metric evaluated %d times, want 100 (once per distinct pair)", got)
+	if New(nil).MetricName() != similarity.DefaultNameMetric().Name() {
+		t.Error("nil metric did not default")
+	}
+	if NewUncached(nil).MetricName() != New(nil).MetricName() {
+		t.Error("NewUncached and New build different scorers")
 	}
 }
 
-// TestMemoConcurrentAccess hammers one Memo from many goroutines over
-// an overlapping key set — run under -race this is the cache's
-// concurrent-access safety test. Afterwards every stored value must
-// equal the metric's, and the entry count must equal the distinct
-// pairs touched (racing misses may recompute but never corrupt).
-func TestMemoConcurrentAccess(t *testing.T) {
+// TestScorerConcurrentAccess hammers one scorer from many goroutines —
+// run under -race this is its concurrent-access safety test. Every
+// value must equal the metric's and the pair counter must be exact.
+func TestScorerConcurrentAccess(t *testing.T) {
 	metric := similarity.EditSim{}
-	memo := NewSharded(metric, 8)
+	sc := New(metric)
 	names := make([]string, 24)
 	for i := range names {
 		names[i] = fmt.Sprintf("element_%d", i)
 	}
-	const goroutines = 16
+	const goroutines, rounds = 16, 20
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for r := 0; r < 50; r++ {
+			sess := sc.NewSession()
+			defer sess.Close()
+			out := make([]float64, len(names))
+			for r := 0; r < rounds; r++ {
 				for i := range names {
 					a := names[(i+g)%len(names)]
 					b := names[(i*7+r)%len(names)]
-					want := metric.Similarity(a, b)
-					if got := memo.Score(a, b); got != want {
+					if got, want := sc.Score(a, b), metric.Similarity(a, b); got != want {
 						t.Errorf("concurrent Score(%q, %q) = %v, want %v", a, b, got, want)
 						return
 					}
 				}
+				sess.ScoreRow(names[r%len(names)], names, out)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if st := memo.Stats(); st.Entries > len(names)*len(names) {
-		t.Errorf("Entries = %d, impossible for %d names", st.Entries, len(names))
+	if got, want := sc.Stats().Misses, int64(goroutines*rounds*2*len(names)); got != want {
+		t.Errorf("pairs scored = %d, want %d", got, want)
 	}
 }
 
@@ -130,9 +93,9 @@ func TestBuildMatrixWorkerCountInvariance(t *testing.T) {
 	for i := range cols {
 		cols[i] = fmt.Sprintf("field%c%d", 'a'+i%3, i)
 	}
-	sc := NewUncached(similarity.DefaultNameMetric())
-	serial := BuildMatrix(rows, cols, sc, 1)
-	parallel := BuildMatrix(rows, cols, New(similarity.DefaultNameMetric()), 8)
+	serial := BuildMatrix(rows, cols, plainScorer{New(nil)}, 1)
+	sc := New(nil)
+	parallel := BuildMatrix(rows, cols, sc, 8)
 	if serial.Rows() != len(rows) || serial.Cols() != len(cols) {
 		t.Fatalf("dims = %dx%d", serial.Rows(), serial.Cols())
 	}
@@ -143,6 +106,9 @@ func TestBuildMatrixWorkerCountInvariance(t *testing.T) {
 			}
 		}
 	}
+	if got, want := sc.Stats().Misses, int64(len(rows)*len(cols)); got != want {
+		t.Errorf("pairs scored = %d, want %d (one per cell)", got, want)
+	}
 }
 
 func TestBuildSymmetricWorkerCountInvariance(t *testing.T) {
@@ -150,9 +116,8 @@ func TestBuildSymmetricWorkerCountInvariance(t *testing.T) {
 	for i := range names {
 		names[i] = fmt.Sprintf("name_%d_%c", i, 'a'+i%5)
 	}
-	sc := NewUncached(similarity.DefaultNameMetric())
-	serial := BuildSymmetric(names, sc, 1)
-	parallel := BuildSymmetric(names, New(similarity.DefaultNameMetric()), 8)
+	serial := BuildSymmetric(names, plainScorer{New(nil)}, 1)
+	parallel := BuildSymmetric(names, New(nil), 8)
 	for i := range names {
 		if serial.At(i, i) != 1 {
 			t.Fatalf("At(%d,%d) = %v, want 1", i, i, serial.At(i, i))
@@ -165,53 +130,5 @@ func TestBuildSymmetricWorkerCountInvariance(t *testing.T) {
 				t.Fatalf("At(%d,%d) not symmetric", i, j)
 			}
 		}
-	}
-}
-
-func TestBuildMatrixWarmsSharedMemo(t *testing.T) {
-	cm := &countingMetric{inner: similarity.EditSim{}}
-	memo := New(cm)
-	rows := []string{"a", "b", "c"}
-	cols := []string{"x", "y", "z", "a"}
-	BuildMatrix(rows, cols, memo, 4)
-	calls := cm.calls.Load()
-	// A second build of the same block must be pure cache hits.
-	BuildMatrix(rows, cols, memo, 4)
-	if got := cm.calls.Load(); got != calls {
-		t.Errorf("second build evaluated the metric %d more times", got-calls)
-	}
-}
-
-func TestCacheKeysByProblemAndMetric(t *testing.T) {
-	c := NewCache()
-	edit := similarity.EditSim{}
-	m1 := c.Scorer("corpus-1", edit)
-	if m2 := c.Scorer("corpus-1", similarity.EditSim{}); m2 != m1 {
-		t.Error("same (problem, metric) returned a different scorer")
-	}
-	if m3 := c.Scorer("corpus-2", edit); m3 == m1 {
-		t.Error("different problem shared a scorer")
-	}
-	if m4 := c.Scorer("corpus-1", similarity.JaroSim{}); m4 == m1 {
-		t.Error("different metric shared a scorer")
-	}
-	if c.Len() != 3 {
-		t.Errorf("Cache.Len = %d, want 3", c.Len())
-	}
-	if c.Scorer("corpus-1", nil).MetricName() != similarity.DefaultNameMetric().Name() {
-		t.Error("nil metric did not default")
-	}
-}
-
-func TestUncachedPassesThrough(t *testing.T) {
-	cm := &countingMetric{inner: similarity.EditSim{}}
-	u := NewUncached(cm)
-	u.Score("a", "b")
-	u.Score("a", "b")
-	if got := cm.calls.Load(); got != 2 {
-		t.Errorf("Uncached evaluated %d times, want 2 (no memoization)", got)
-	}
-	if NewUncached(nil).MetricName() != similarity.DefaultNameMetric().Name() {
-		t.Error("nil metric did not default")
 	}
 }

@@ -115,8 +115,7 @@ func (ss *sessionSet) close() {
 // worker pool of the given size (< 1 selects GOMAXPROCS), fanning rows
 // out over the workers. Each worker writes a disjoint row range and
 // scores through its own RowSession (per-pair fallback for plain
-// Scorers), so the only synchronization is inside the Scorer — with a
-// Memo, concurrent builders warm one shared cache.
+// Scorers), so the only synchronization is inside the Scorer.
 func BuildMatrix(rowNames, colNames []string, sc Scorer, workers int) *Matrix {
 	m := &Matrix{rows: len(rowNames), cols: len(colNames), vals: make([]float64, len(rowNames)*len(colNames))}
 	ss := newSessionSet(sc, ResolveWorkers(workers, m.rows))

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/similarity"
 )
@@ -25,7 +25,7 @@ type RowSession interface {
 // RowScorer is the optional batching extension of Scorer: scorers that
 // can amortize profile derivation and buffer setup across a row expose
 // sessions; plain Scorers keep working through the per-pair fallback.
-// Memo and Uncached both implement it over compiled similarity kernels.
+// KernelScorer implements it over its compiled similarity kernel.
 type RowScorer interface {
 	Scorer
 	// NewSession returns a fresh row-scoring session for one worker.
@@ -60,27 +60,10 @@ func (s scorerSession) ScoreRowMasked(row string, cols []string, out []float64, 
 
 func (s scorerSession) Close() {}
 
-// kernelCell lazily compiles one similarity kernel per scorer. It is
-// held by pointer so value copies of Uncached share the compilation.
-type kernelCell struct {
-	once sync.Once
-	k    *similarity.Kernel
-}
-
-func (c *kernelCell) kernel(m similarity.Metric) *similarity.Kernel {
-	c.once.Do(func() { c.k = similarity.NewKernel(m) })
-	return c.k
-}
-
 // NewSession implements RowScorer: scoring runs through the compiled
-// kernel (bit-identical to the metric), with the row profile interned
-// once per row.
-func (u Uncached) NewSession() RowSession {
-	if u.kern == nil {
-		// Zero-value Uncached: no kernel cell to share, fall back.
-		return scorerSession{sc: u}
-	}
-	return &uncachedSession{ks: u.kern.kernel(u.metric).Session()}
+// kernel, with the row profile interned once per row.
+func (k *KernelScorer) NewSession() RowSession {
+	return &kernelSession{ks: k.kern.Session(), pairs: &k.pairs}
 }
 
 // colCache memoizes the interned profiles of a column slice across the
@@ -112,110 +95,30 @@ func (cc *colCache) profiles(ks *similarity.KernelSession, cols []string) []*sim
 	return cc.profs
 }
 
-type uncachedSession struct {
-	ks   *similarity.KernelSession
-	cols colCache
+type kernelSession struct {
+	ks    *similarity.KernelSession
+	cols  colCache
+	pairs *atomic.Int64
 }
 
-func (s *uncachedSession) ScoreRow(row string, cols []string, out []float64) {
+func (s *kernelSession) ScoreRow(row string, cols []string, out []float64) {
 	rp := s.ks.Profile(row)
 	for j, cp := range s.cols.profiles(s.ks, cols) {
 		out[j] = s.ks.SimilarityProfiles(rp, cp)
 	}
+	s.pairs.Add(int64(len(cols)))
 }
 
-func (s *uncachedSession) ScoreRowMasked(row string, cols []string, out []float64, keep []bool) {
+func (s *kernelSession) ScoreRowMasked(row string, cols []string, out []float64, keep []bool) {
 	rp := s.ks.Profile(row)
+	n := 0
 	for j, cp := range s.cols.profiles(s.ks, cols) {
 		if keep[j] {
 			out[j] = s.ks.SimilarityProfiles(rp, cp)
+			n++
 		}
 	}
+	s.pairs.Add(int64(n))
 }
 
-func (s *uncachedSession) Close() { s.ks.Close() }
-
-// kernel returns the memo's lazily compiled kernel.
-func (m *Memo) kernel() *similarity.Kernel {
-	return m.kern.kernel(m.metric)
-}
-
-// Profiles returns the interner backing the memo's compiled kernel, so
-// callers building a candidate index over the same metric can share
-// profiles instead of re-deriving them (candindex.Config.Profiles).
-func (m *Memo) Profiles() *similarity.Interner {
-	return m.kernel().Interner()
-}
-
-// NewSession implements RowScorer. The session shares the memo table —
-// hits and misses count exactly as in Score — but computes misses
-// through the compiled kernel, which returns bit-identical values.
-func (m *Memo) NewSession() RowSession {
-	return &memoSession{m: m, ks: m.kernel().Session()}
-}
-
-type memoSession struct {
-	m    *Memo
-	ks   *similarity.KernelSession
-	cols colCache
-	// Cached row state: the interned profile and partial shard hash of
-	// the last row, looked up once per row instead of once per pair.
-	row  string
-	rp   *similarity.NameProfile
-	rowH uint32
-}
-
-func (s *memoSession) setRow(row string) {
-	if s.rp == nil || s.row != row {
-		s.row = row
-		s.rp = s.ks.Profile(row)
-		s.rowH = fnvRow(row)
-	}
-}
-
-// score is one memo evaluation against the cached row: the exact
-// hit/miss protocol of Memo.Score, with misses computed through the
-// kernel (bit-identical by the kernel contract). cp is the column's
-// profile when the caller already holds it, nil to defer the interner
-// lookup to the miss path — hits never need a profile.
-func (s *memoSession) score(c string, cp *similarity.NameProfile) float64 {
-	key := pairKey{s.row, c}
-	sh := s.m.shardCont(s.rowH, c)
-	sh.mu.RLock()
-	v, ok := sh.table[key]
-	sh.mu.RUnlock()
-	if ok {
-		sh.hits.Add(1)
-		return v
-	}
-	sh.misses.Add(1)
-	if cp == nil {
-		cp = s.ks.Profile(c)
-	}
-	v = s.ks.SimilarityProfiles(s.rp, cp)
-	sh.mu.Lock()
-	sh.table[key] = v
-	sh.mu.Unlock()
-	return v
-}
-
-func (s *memoSession) ScoreRow(row string, cols []string, out []float64) {
-	s.setRow(row)
-	for j, cp := range s.cols.profiles(s.ks, cols) {
-		out[j] = s.score(cols[j], cp)
-	}
-}
-
-// ScoreRowMasked skips the column-profile cache: pruned builds keep few
-// columns and warm builds hit the memo table, so per-column profiles
-// are fetched lazily, only when a kept pair actually misses.
-func (s *memoSession) ScoreRowMasked(row string, cols []string, out []float64, keep []bool) {
-	s.setRow(row)
-	for j, c := range cols {
-		if keep[j] {
-			out[j] = s.score(c, nil)
-		}
-	}
-}
-
-func (s *memoSession) Close() { s.ks.Close() }
+func (s *kernelSession) Close() { s.ks.Close() }

@@ -3,8 +3,6 @@ package engine
 import (
 	"math"
 	"testing"
-
-	"repro/internal/similarity"
 )
 
 var rowNamesFixture = []string{
@@ -13,15 +11,14 @@ var rowNamesFixture = []string{
 }
 
 // TestBuildMatrixSessionParity pins the session-backed builders to the
-// per-cell Score reference, bit for bit, for both scorer kinds and for
-// a plain (non-RowScorer) wrapper.
+// per-cell Score reference, bit for bit, for the scorer and for a
+// plain (non-RowScorer) wrapper.
 func TestBuildMatrixSessionParity(t *testing.T) {
 	rows := rowNamesFixture
 	cols := append([]string{"client", "priceOfOrderItem"}, rowNamesFixture...)
 	scorers := map[string]Scorer{
-		"uncached": NewUncached(nil),
-		"memo":     New(nil),
-		"plain":    plainScorer{NewUncached(nil)},
+		"kernel": New(nil),
+		"plain":  plainScorer{New(nil)},
 	}
 	for name, sc := range scorers {
 		for _, workers := range []int{1, 4} {
@@ -66,44 +63,10 @@ type plainScorer struct{ sc Scorer }
 func (p plainScorer) Score(a, b string) float64 { return p.sc.Score(a, b) }
 func (p plainScorer) MetricName() string        { return p.sc.MetricName() }
 
-// TestMemoSessionSharesTable verifies a session's misses land in the
-// memo table (visible to Score) and its hits/misses feed the same
-// counters Score uses.
-func TestMemoSessionSharesTable(t *testing.T) {
-	m := New(similarity.EditSim{})
-	sess := m.NewSession()
-	defer sess.Close()
-
-	cols := []string{"alpha", "beta", "gamma"}
-	out := make([]float64, len(cols))
-	sess.ScoreRow("alphabet", cols, out)
-	st := m.Stats()
-	if st.Misses != 3 || st.Hits != 0 || st.Entries != 3 {
-		t.Fatalf("after first row: %+v, want 3 misses / 0 hits / 3 entries", st)
-	}
-	// Score must now hit the entries the session populated.
-	for j, c := range cols {
-		if got := m.Score("alphabet", c); math.Float64bits(got) != math.Float64bits(out[j]) {
-			t.Fatalf("Score(alphabet, %s) = %v, want session value %v", c, got, out[j])
-		}
-	}
-	st = m.Stats()
-	if st.Hits != 3 || st.Misses != 3 {
-		t.Fatalf("after re-score: %+v, want 3 hits / 3 misses", st)
-	}
-	// And the session must hit entries Score populated.
-	m.Score("beta", "gamma")
-	sess.ScoreRow("beta", []string{"gamma"}, out[:1])
-	st = m.Stats()
-	if st.Hits != 4 || st.Misses != 4 {
-		t.Fatalf("after cross hit: %+v, want 4 hits / 4 misses", st)
-	}
-}
-
-// TestUncachedSessionZeroAlloc pins the warm batched uncached path —
-// the path BuildMatrix drives — at zero heap allocations per row.
-func TestUncachedSessionZeroAlloc(t *testing.T) {
-	sc := NewUncached(nil)
+// TestSessionZeroAlloc pins the warm batched path — the path
+// BuildMatrix drives — at zero heap allocations per row.
+func TestSessionZeroAlloc(t *testing.T) {
+	sc := New(nil)
 	sess := sc.NewSession()
 	defer sess.Close()
 	cols := rowNamesFixture
@@ -114,6 +77,6 @@ func TestUncachedSessionZeroAlloc(t *testing.T) {
 		sess.ScoreRow("customer full name", cols, out)
 	})
 	if allocs != 0 {
-		t.Errorf("warm uncached ScoreRow: %v allocs, want 0", allocs)
+		t.Errorf("warm ScoreRow: %v allocs, want 0", allocs)
 	}
 }

@@ -351,17 +351,9 @@ func (h *Handler) writeMetrics(w io.Writer) error {
 	for _, r := range rows {
 		p.sample("matchd_tenant_version", fmt.Sprintf(`tenant="%s"`, escapeLabel(r.name)), float64(r.st.Version))
 	}
-	p.family("matchd_tenant_cache_hits_total", "Scoring-engine cache hits of the tenant's resident service (resets on eviction). A cost-table build looks each distinct name pair up once, so hits come from repeated builds, not from names repeated within a build.", "counter")
+	p.family("matchd_tenant_pairs_scored_total", "Name pairs the tenant's resident service scored (resets on eviction). A cost-table build scores each distinct (personal, repository) name pair once.", "counter")
 	for _, r := range rows {
-		p.sample("matchd_tenant_cache_hits_total", fmt.Sprintf(`tenant="%s"`, escapeLabel(r.name)), float64(r.st.Cache.Hits))
-	}
-	p.family("matchd_tenant_cache_misses_total", "Scoring-engine cache misses of the tenant's resident service (resets on eviction): one per name pair first scored.", "counter")
-	for _, r := range rows {
-		p.sample("matchd_tenant_cache_misses_total", fmt.Sprintf(`tenant="%s"`, escapeLabel(r.name)), float64(r.st.Cache.Misses))
-	}
-	p.family("matchd_tenant_cache_entries", "Memoized scoring pairs held by the tenant's resident service: the distinct name pairs scored so far.", "gauge")
-	for _, r := range rows {
-		p.sample("matchd_tenant_cache_entries", fmt.Sprintf(`tenant="%s"`, escapeLabel(r.name)), float64(r.st.Cache.Entries))
+		p.sample("matchd_tenant_pairs_scored_total", fmt.Sprintf(`tenant="%s"`, escapeLabel(r.name)), float64(r.st.Cache.Misses))
 	}
 
 	if h.cfg.StoreMetrics != nil {
@@ -401,14 +393,6 @@ func (h *Handler) writeMetrics(w io.Writer) error {
 		for _, s := range srows {
 			p.sample("matchd_store_recovered_version", label(s), float64(s.RecoveredVersion))
 		}
-		p.family("matchd_store_index_restored", "1 when the tenant's cluster index was rehydrated from the log and passed the parity self-check.", "gauge")
-		for _, s := range srows {
-			v := 0.0
-			if s.IndexRestored {
-				v = 1.0
-			}
-			p.sample("matchd_store_index_restored", label(s), v)
-		}
 	}
 	return p.err
 }
@@ -433,7 +417,4 @@ type StoreTenantMetrics struct {
 	// recovery of the tenant (zero when the tenant was not recovered).
 	RecoverySeconds  float64
 	RecoveredVersion uint64
-	// IndexRestored reports that the cluster index was rehydrated from
-	// persisted state (parity-checked) instead of re-clustered.
-	IndexRestored bool
 }

@@ -150,10 +150,18 @@ func TestMetricsEndpoint(t *testing.T) {
 		"matchd_server_workers",
 		"matchd_server_accepted_total",
 		fmt.Sprintf("matchd_tenant_version{tenant=%q}", fleet[0].Name),
-		fmt.Sprintf("matchd_tenant_cache_misses_total{tenant=%q}", fleet[0].Name),
+		fmt.Sprintf("matchd_tenant_pairs_scored_total{tenant=%q}", fleet[0].Name),
 	} {
 		if _, ok := first[want]; !ok {
 			t.Errorf("series %s missing from the exposition", want)
+		}
+	}
+	if first[fmt.Sprintf("matchd_tenant_pairs_scored_total{tenant=%q}", fleet[0].Name)] == 0 {
+		t.Error("served traffic scored no pairs")
+	}
+	for series := range first {
+		if strings.HasPrefix(series, "matchd_tenant_cache_") {
+			t.Errorf("retired series %s still exposed", series)
 		}
 	}
 	if first["matchd_sharded_requests_total"] == 0 {

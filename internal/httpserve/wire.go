@@ -77,7 +77,8 @@ type SearchStats struct {
 	Yielded    int `json:"yielded"`
 }
 
-// CacheStats mirrors engine.Stats.
+// CacheStats mirrors engine.Stats: Misses counts the name pairs
+// scored; Hits and Entries are always 0.
 type CacheStats struct {
 	Hits    int64 `json:"hits"`
 	Misses  int64 `json:"misses"`

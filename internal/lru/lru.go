@@ -1,9 +1,9 @@
 // Package lru provides the one small recency-evicting keyed map shared
 // by the caches that must stay bounded in long-lived processes (the
-// engine's scorer cache, the match service's session cache). It is
-// deliberately minimal: no concurrency (callers hold their own locks)
-// and linear-time touch — both uses hold tens of entries keyed far off
-// any per-pair hot path.
+// match service's session and searcher caches, the server's resident
+// tenants, the wire layer's schema interner). It is deliberately minimal: no concurrency (callers hold
+// their own locks) and linear-time touch — every use holds tens of
+// entries keyed far off any per-pair hot path.
 package lru
 
 // Map is a keyed map evicting the least recently used entry beyond
@@ -20,9 +20,6 @@ type Map[K comparable, V any] struct {
 func New[K comparable, V any](limit int) *Map[K, V] {
 	return &Map[K, V]{limit: limit, vals: make(map[K]V)}
 }
-
-// Limit returns the eviction bound (0 = unbounded).
-func (m *Map[K, V]) Limit() int { return m.limit }
 
 // Len returns the number of entries held.
 func (m *Map[K, V]) Len() int { return len(m.vals) }

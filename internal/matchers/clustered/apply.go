@@ -37,8 +37,7 @@ func (ix *Index) Drift() int { return ix.drift }
 // not modified and keeps serving in-flight searches against the old
 // repository. When cumulative drift since the last full build exceeds
 // the configured RebuildFraction, Apply falls back to a full BuildIndex
-// over repo with the original configuration (sharing the scorer, so
-// the memo stays warm).
+// over repo with the original configuration (sharing the scorer).
 //
 // repo must be the repository the diff leads to; a diff inconsistent
 // with the index's refcounts (e.g. removing a schema it never held) is

@@ -11,8 +11,8 @@
 //
 // Both the offline clustering and the online cluster selection draw
 // name scores from a shared engine.Scorer; built with the same scorer
-// as the matching.Problem, the index reuses (and further warms) the
-// memo table the matchers enumerate against.
+// as the matching.Problem, the index scores names exactly as the cost
+// tables the matchers enumerate against.
 package clustered
 
 import (
@@ -70,9 +70,9 @@ type IndexConfig struct {
 	// max(2, distinctNames/8).
 	K int
 	// Scorer supplies element-name similarities for the distance
-	// matrix. Nil selects a fresh memoized engine over
-	// similarity.DefaultNameMetric; pass the problem's scorer to share
-	// one cache between clustering and matching.
+	// matrix. Nil selects a fresh engine over
+	// similarity.DefaultNameMetric; pass the problem's scorer so
+	// clustering and matching evaluate the same metric.
 	Scorer engine.Scorer
 	// Workers bounds the worker pool building the distance matrix.
 	// Values < 1 select GOMAXPROCS.

@@ -15,7 +15,7 @@ import (
 // All node-pair scores come from the Problem's cost tables, which are
 // built from the problem's engine.Scorer — the matcher never invokes a
 // string metric itself, so every system sharing the Problem (and every
-// Problem sharing a memoized scorer) scores pairs identically.
+// Problem over a scorer of the same metric) scores pairs identically.
 type Exhaustive struct{}
 
 // Name implements Matcher.

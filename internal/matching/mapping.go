@@ -22,9 +22,9 @@
 // every distinct personal name against every vocabulary name through
 // the scorer's row sessions, with column blocks spread over the
 // BuildWorkers pool, and then fills each schema's table by vocabulary
-// index. Every distinct name pair reaches the scorer exactly once, so a
-// memo ends up holding the same entries as a per-cell build while
-// recording far fewer hits. The problem keeps the dense matrix, and
+// index. Every distinct name pair reaches the scorer exactly once per
+// build, which is why the scorer needs no cache of its own (see
+// internal/engine). The problem keeps the dense matrix, and
 // Rebase copies its columns for names it has already scored; only new
 // names are scored. Candidate-filtered builds still score their kept
 // pairs cell by cell. A schema the filter does not hold is filled from

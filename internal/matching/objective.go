@@ -15,10 +15,10 @@ import (
 // improvement "uses the same objective function".
 type Config struct {
 	// Scorer is the scoring engine that supplies element-name
-	// similarities. Nil selects a fresh memoized engine over
+	// similarities. Nil selects a fresh engine over
 	// similarity.DefaultNameMetric. Thread one engine.Scorer through
 	// every matcher, clusterer, and pipeline stage of an experiment so
-	// they share a single memo table (see internal/engine).
+	// they all evaluate the same metric (see internal/engine).
 	Scorer engine.Scorer
 	// NameWeight and StructWeight blend the name and structure
 	// components of ∆. They are normalized to sum to 1; both zero is an
@@ -91,10 +91,7 @@ func DefaultConfig() Config {
 // every matcher draws node-pair scores from one shared source;
 // exhaustive search then runs on table lookups. Each distinct name
 // pair is scored once per build (see "Cost tables" in the package
-// doc); with a memoized scorer shared across problems (engine.Memo),
-// repeated problem builds — under different objective weights, or for
-// the same personal schema again — cost one metric evaluation per pair
-// in total.
+// doc).
 type Problem struct {
 	Personal *xmlschema.Schema
 	Repo     *xmlschema.Repository
@@ -269,8 +266,8 @@ func (p *Problem) buildTables(tb *tableBuilder, sel []int, prev vocabCosts) {
 // scoreVocab returns the costs of the problem's distinct personal names
 // against the columns of vocab that need admits (all of them when need
 // is nil; the others stay zero). Columns prev holds are copied; the
-// rest are scored through the configured scorer, so a memo is asked
-// for each distinct pair exactly once.
+// rest are scored through the configured scorer, each distinct pair
+// exactly once.
 func (p *Problem) scoreVocab(vocab *xmlschema.Vocabulary, need []bool, prev vocabCosts) vocabCosts {
 	nq, nv := len(p.pnames), vocab.Len()
 	c := vocabCosts{vocab: vocab, cols: make([]float64, nq*nv)}

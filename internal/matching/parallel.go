@@ -15,10 +15,8 @@ import (
 // independent and NewAnswerSet orders deterministically); only the
 // wall-clock changes. Workers defaults to GOMAXPROCS when ≤ 0.
 //
-// The workers read the Problem's scorer-built cost tables; when the
-// problem was built over a shared engine.Memo, its per-shard locks let
-// this matcher, the cluster index, and repeated improvement runs grow
-// one cache without serializing on a single lock.
+// The workers read the Problem's scorer-built cost tables, so they
+// share no mutable state and never lock.
 type ParallelExhaustive struct {
 	// Workers bounds the number of concurrent schema enumerations.
 	Workers int

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/matching"
+	"repro/internal/similarity"
 	"repro/internal/stats"
 	"repro/internal/xmlschema"
 )
@@ -25,19 +26,26 @@ var personalOnly = []string{"zzabsent", "größe", "personal-only"}
 // vocabVariant is one build configuration of the grid.
 type vocabVariant struct {
 	sealed   bool // build the first problem over a sealed repository
-	memo     bool // engine.Memo instead of engine.Uncached
+	plain    bool // score through the per-pair fallback, not row sessions
 	filtered bool // candidate filter that holds only some schemas
 	workers  int
 }
 
 func (v vocabVariant) String() string {
-	return fmt.Sprintf("sealed=%v/memo=%v/filtered=%v/workers=%d", v.sealed, v.memo, v.filtered, v.workers)
+	return fmt.Sprintf("sealed=%v/plain=%v/filtered=%v/workers=%d", v.sealed, v.plain, v.filtered, v.workers)
 }
 
 // vocabVariantOf decodes the low bits of b into a variant.
 func vocabVariantOf(b uint8) vocabVariant {
-	return vocabVariant{sealed: b&1 != 0, memo: b&2 != 0, filtered: b&4 != 0, workers: 1 + 2*int(b>>3&1)}
+	return vocabVariant{sealed: b&1 != 0, plain: b&2 != 0, filtered: b&4 != 0, workers: 1 + 2*int(b>>3&1)}
 }
+
+// plainScorer hides the engine's row sessions, so builds take the
+// per-pair Score fallback.
+type plainScorer struct{ sc *engine.KernelScorer }
+
+func (p plainScorer) Score(a, b string) float64 { return p.sc.Score(a, b) }
+func (p plainScorer) MetricName() string        { return p.sc.MetricName() }
 
 // vocabSchema builds a random tree of size elements named from names.
 func vocabSchema(rng *stats.RNG, name string, size int, names []string) *xmlschema.Schema {
@@ -79,8 +87,12 @@ func (f heldFilter) BoundRow(_ int, s *xmlschema.Schema, out []float64) bool {
 // checkVocabTables builds a problem over a random repository under
 // variant bits, rebases it through a chain of random snapshot
 // mutations, and after every step requires every table entry to equal
-// 1 - Uncached.Score bit for bit; with a memo it also requires one memo
-// entry per distinct (personal, repository) name pair seen so far.
+// 1 - the reference metric bit for bit. Unfiltered, it also pins the
+// work through the scorer's pair counter: the build scores each
+// distinct personal name against each vocabulary name exactly once,
+// and a rebase that changed any schema scores only the names missing
+// from the vocabulary the problem last scored (a rebase that only
+// removed schemas scores nothing).
 func checkVocabTables(t testing.TB, seed uint64, bits uint8) {
 	v := vocabVariantOf(bits)
 	rng := stats.NewRNG(seed)
@@ -106,15 +118,13 @@ func checkVocabTables(t testing.TB, seed uint64, bits uint8) {
 		}
 	}
 
-	ref := engine.NewUncached(nil)
+	ref := similarity.DefaultNameMetric()
+	scorer := engine.New(nil)
 	cfg := matching.DefaultConfig()
 	cfg.BuildWorkers = v.workers
-	var memo *engine.Memo
-	if v.memo {
-		memo = engine.New(nil)
-		cfg.Scorer = memo
-	} else {
-		cfg.Scorer = engine.NewUncached(nil)
+	cfg.Scorer = scorer
+	if v.plain {
+		cfg.Scorer = plainScorer{scorer}
 	}
 	if v.filtered {
 		held := map[*xmlschema.Schema]bool{}
@@ -133,26 +143,48 @@ func checkVocabTables(t testing.TB, seed uint64, bits uint8) {
 		}
 	}
 
-	seen := map[[2]string]bool{}
+	distinct := map[string]bool{}
+	for _, pe := range personal.Elements() {
+		distinct[pe.Name] = true
+	}
+	var scored map[string]bool // the vocabulary the problem last scored
+	var prevRepo *xmlschema.Repository
+	wantPairs := int64(0)
 	check := func(step string) {
 		for _, s := range prob.Repo.Schemas() {
 			view := prob.View(s)
 			for _, pe := range personal.Elements() {
 				row := view.Row(pe.ID())
 				for _, re := range s.Elements() {
-					want := 1 - ref.Score(pe.Name, re.Name)
+					want := 1 - ref.Similarity(pe.Name, re.Name)
 					if got := row[re.ID()]; math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%v %s: %s[%d]=%q vs personal %q: table %v, reference %v",
 							v, step, s.Name, re.ID(), re.Name, pe.Name, got, want)
 					}
-					seen[[2]string{pe.Name, re.Name}] = true
 				}
 			}
 		}
-		if memo != nil {
-			if got := memo.Stats().Entries; got != len(seen) {
-				t.Fatalf("%v %s: memo holds %d entries, per-cell distinct pairs %d", v, step, got, len(seen))
+		changed := false
+		for _, s := range prob.Repo.Schemas() {
+			changed = changed || prevRepo == nil || prevRepo.Schema(s.Name) != s
+		}
+		prevRepo = prob.Repo
+		if v.filtered {
+			return
+		}
+		if changed {
+			vocab := prob.Repo.Vocabulary()
+			next := make(map[string]bool, vocab.Len())
+			for _, n := range vocab.Names {
+				if !scored[n] {
+					wantPairs += int64(len(distinct))
+				}
+				next[n] = true
 			}
+			scored = next
+		}
+		if got := scorer.Stats().Misses; got != wantPairs {
+			t.Fatalf("%v %s: %d pairs scored, want %d", v, step, got, wantPairs)
 		}
 	}
 	check("build")

@@ -2,7 +2,7 @@
 // point of sharding a versioned repository: a diff touching d schemas
 // invalidates at most d shards' sub-snapshots and indexes, while every
 // other shard transfers to the next searcher generation by pointer —
-// sub-snapshot, scoring cache, and derived index all stay warm.
+// sub-snapshot and derived index both stay warm.
 
 package shard
 
@@ -15,8 +15,8 @@ import (
 )
 
 // Apply derives the searcher for the next snapshot generation from a
-// snapshot diff. Unaffected shards keep their sub-snapshot, scoring
-// cache, and built index (shared with the receiver, which stays fully
+// snapshot diff. Unaffected shards keep their sub-snapshot and built
+// index (shared with the receiver, which stays fully
 // valid for in-flight searches). Each affected shard — one holding a
 // removed or replaced schema, or routed an added one — rebuilds its
 // sub-snapshot from next and, when its index was built, patches it with
@@ -117,7 +117,7 @@ func (sr *Searcher) Apply(next *xmlschema.Snapshot, diff xmlschema.Diff, globalI
 
 	ns.shards = make([]*Shard, len(sr.shards))
 	for i, old := range sr.shards {
-		nsh := &Shard{id: i, owner: ns, snap: old.snap, scorer: old.scorer}
+		nsh := &Shard{id: i, owner: ns, snap: old.snap}
 		if affected[i] {
 			rebuilt, err := ns.buildShard(i)
 			if err != nil {

@@ -25,8 +25,10 @@
 //
 // # Scatter-gather search
 //
-// A Searcher owns one sub-snapshot, one scoring engine cache, and one
-// (lazily derived) clustered index per shard. Search fans a
+// A Searcher owns one sub-snapshot and one (lazily derived) clustered
+// index per shard; every shard scores through the searcher's one
+// scorer (Config.Index.Scorer, which the serving layer sets to its
+// service scorer). Search fans a
 // matching.Problem out across the shards in parallel — each shard
 // rebases the problem onto its sub-repository, which transfers the
 // already-built cost tables of its schemas by reference — runs the
@@ -56,8 +58,8 @@
 // # Incremental updates
 //
 // Searcher.Apply carries a searcher across a snapshot swap using the
-// snapshot diff: unaffected shards keep their sub-snapshot, scoring
-// cache and index untouched (shared by pointer with the old searcher,
+// snapshot diff: unaffected shards keep their sub-snapshot and index
+// untouched (shared by pointer with the old searcher,
 // which stays valid for in-flight searches), while each affected shard
 // rebuilds its sub-snapshot and patches its index with the shard's
 // slice of the diff via clustered.Index.Apply. This is the property

@@ -149,8 +149,8 @@ func (Hash) Plan(snap *xmlschema.Snapshot, k int) (*Plan, error) {
 // at the price of possible shard imbalance.
 type Cluster struct {
 	// Scorer supplies name similarities for the distance matrix and for
-	// routing names unseen at build time. Nil selects a fresh memoized
-	// engine; pass a shared scorer to keep its memo warm.
+	// routing names unseen at build time. Nil selects a fresh engine
+	// over the default metric.
 	Scorer engine.Scorer
 	// Seed drives the k-medoids initialization.
 	Seed uint64

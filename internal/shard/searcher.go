@@ -50,11 +50,11 @@ type Config struct {
 }
 
 // Searcher serves scatter-gather matching over one snapshot generation:
-// a Plan, one sub-snapshot + scoring cache + lazily derived clustered
-// index per shard, and the repository-wide clustering the shard indexes
-// share. A Searcher is immutable after construction and safe for
-// concurrent Search calls; Apply derives the next generation from a
-// snapshot diff.
+// a Plan, one sub-snapshot + lazily derived clustered index per shard,
+// and the repository-wide clustering the shard indexes share. A
+// Searcher is immutable after construction and safe for concurrent
+// Search calls; Apply derives the next generation from a snapshot
+// diff.
 type Searcher struct {
 	cfg    Config
 	plan   *Plan
@@ -73,13 +73,12 @@ type Searcher struct {
 }
 
 // Shard is one partition of a searcher: a sub-snapshot holding only its
-// schemas (pointer-shared with the full snapshot), a scoring engine,
-// and its derived clustered index.
+// schemas (pointer-shared with the full snapshot) and its derived
+// clustered index.
 type Shard struct {
-	id     int
-	owner  *Searcher
-	snap   *xmlschema.Snapshot
-	scorer engine.Scorer
+	id    int
+	owner *Searcher
+	snap  *xmlschema.Snapshot
 
 	ix   lazy.Cell[*clustered.Index]
 	cand lazy.Cell[*candindex.Index]
@@ -97,11 +96,9 @@ func (sh *Shard) Repository() *xmlschema.Repository { return sh.snap.Repository(
 // Len returns the number of schemas in the shard.
 func (sh *Shard) Len() int { return sh.snap.Len() }
 
-// Scorer returns the shard's scoring engine: the configured index
-// scorer when one is set (so shard-local scoring agrees with — and
-// warms — the cache the global clustering was built from), otherwise a
-// shard-private memo that lives and dies with the shard.
-func (sh *Shard) Scorer() engine.Scorer { return sh.scorer }
+// Scorer returns the shard's scoring engine: the searcher's one
+// scorer, which the global clustering was built from too.
+func (sh *Shard) Scorer() engine.Scorer { return sh.owner.cfg.Index.Scorer }
 
 // Index returns the shard's clustered index, derived on first use from
 // the searcher's repository-wide clustering (so every shard restricts
@@ -152,17 +149,15 @@ func NewSearcher(snap *xmlschema.Snapshot, cfg Config) (*Searcher, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Index.Scorer == nil {
+		cfg.Index.Scorer = engine.New(nil)
+	}
 	sr := &Searcher{cfg: cfg, plan: plan, snap: snap}
 	sr.shards = make([]*Shard, cfg.K)
 	for i := range sr.shards {
 		sh, err := sr.buildShard(i)
 		if err != nil {
 			return nil, err
-		}
-		if cfg.Index.Scorer != nil {
-			sh.scorer = cfg.Index.Scorer
-		} else {
-			sh.scorer = engine.New(nil)
 		}
 		sr.shards[i] = sh
 	}
@@ -171,7 +166,6 @@ func NewSearcher(snap *xmlschema.Snapshot, cfg Config) (*Searcher, error) {
 
 // buildShard filters the searcher's snapshot by its plan into shard
 // i's sub-snapshot (insertion order preserved; schemas pointer-shared).
-// The caller assigns the scorer.
 func (sr *Searcher) buildShard(i int) (*Shard, error) {
 	repo := xmlschema.NewRepository()
 	for _, sch := range sr.snap.Schemas() {

@@ -232,7 +232,7 @@ func TestApplyTouchesOnlyAffectedShards(t *testing.T) {
 	for i, old := range sr.Shards() {
 		nsh := ns.Shards()[i]
 		if nsh.Scorer() != old.Scorer() {
-			t.Fatalf("shard %d scoring cache not carried over", i)
+			t.Fatalf("shard %d scorer not carried over", i)
 		}
 		oix, _, _ := old.ix.Built()
 		nix, _, built := nsh.ix.Built()

@@ -61,12 +61,3 @@ func BenchmarkSynonymLookup(b *testing.B) {
 		_ = d.Synonyms("zip", "postcode")
 	}
 }
-
-func BenchmarkCachedHitPath(b *testing.B) {
-	c := NewCached(DefaultNameMetric())
-	c.Similarity("warm", "cache") // prime
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = c.Similarity("warm", "cache")
-	}
-}

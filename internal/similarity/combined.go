@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Weighted is one component of a Combined metric.
@@ -104,53 +103,6 @@ func DefaultNameMetric() Metric {
 		panic("similarity: impossible: " + err.Error())
 	}
 	return SynonymSim{Dict: DefaultSchemaSynonyms(), Base: base}
-}
-
-// Cached memoizes another metric behind a single RWMutex. Superseded
-// for the matching hot path by the sharded engine.Memo
-// (internal/engine), which the matchers and pipeline thread instead;
-// Cached is retained for metric-level comparisons in tests and
-// benchmarks. Safe for concurrent use.
-type Cached struct {
-	mu    sync.RWMutex
-	inner Metric
-	table map[[2]string]float64
-}
-
-// NewCached wraps inner with an unbounded memo table.
-func NewCached(inner Metric) *Cached {
-	return &Cached{inner: inner, table: make(map[[2]string]float64)}
-}
-
-// Similarity implements Metric with memoization. The cache key is
-// order-normalized only if the inner metric is symmetric in practice;
-// we keep ordered keys for full generality.
-func (c *Cached) Similarity(a, b string) float64 {
-	key := [2]string{a, b}
-	c.mu.RLock()
-	v, ok := c.table[key]
-	c.mu.RUnlock()
-	if ok {
-		return v
-	}
-	v = c.inner.Similarity(a, b)
-	c.mu.Lock()
-	c.table[key] = v
-	c.mu.Unlock()
-	return v
-}
-
-// Name implements Metric.
-func (c *Cached) Name() string { return "cached(" + c.inner.Name() + ")" }
-
-// Inner returns the wrapped metric.
-func (c *Cached) Inner() Metric { return c.inner }
-
-// Size returns the number of memoized pairs.
-func (c *Cached) Size() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.table)
 }
 
 // Registry maps metric names to constructors so CLIs can select metrics

@@ -8,8 +8,8 @@ import (
 // kernelFn scores one interned profile pair using (only) the session's
 // scratch buffers. Kernels are compiled per metric tree and must return
 // the exact float64 the reference Metric.Similarity returns — the
-// engine's memo tables, persisted warm memos, and the candidate index's
-// parity guarantees all depend on bit-identical scores.
+// scoring engine and the candidate index's parity guarantees both
+// depend on bit-identical scores.
 type kernelFn func(a, b *NameProfile, s *Scratch) float64
 
 // Kernel is a compiled, allocation-free evaluator for one metric tree
@@ -94,10 +94,6 @@ func (ks *KernelSession) Close() {
 // synonym dictionary discovered in it, if any.
 func compileKernel(m Metric) (kernelFn, *SynonymDict) {
 	switch t := m.(type) {
-	case *Cached:
-		// The kernel bypasses the metric-level memo; values are identical
-		// by the parity contract.
-		return compileKernel(t.Inner())
 	case SynonymSim:
 		return compileSynonym(t)
 	case *Combined:

@@ -21,7 +21,6 @@ func parityMetrics(t testing.TB) map[string]Metric {
 	ms["sym-monge-elkan"] = SymMongeElkan{}
 	ms["monge-elkan-edit"] = MongeElkan{Inner: EditSim{}}
 	ms["synonym-bare"] = SynonymSim{Dict: DefaultSchemaSynonyms()}
-	ms["cached-default"] = NewCached(DefaultNameMetric())
 	return ms
 }
 

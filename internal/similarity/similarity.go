@@ -26,8 +26,9 @@
 // — all rune-mapped, so Unicode input stays exact.
 //
 // Kernels must return bit-identical float64 values to the reference
-// Similarity for every input — not merely close: memo tables, persisted
-// warm memos, and the candidate index's answer-set guarantees compare
+// Similarity for every input — not merely close: the scoring engine
+// serves kernel scores where the paper's objective is defined by the
+// metric, and the candidate index's answer-set guarantees compare
 // floats exactly. Metrics without a native kernel (Soundex, MetricFunc,
 // non-trigram q-grams, unknown implementations) compile to a fallback
 // invoking the reference, so compilation never fails and the contract

@@ -174,47 +174,3 @@ func TestDefaultNameMetric(t *testing.T) {
 		t.Errorf("unrelated %v should score below related %v", lo, hi)
 	}
 }
-
-func TestCachedMetric(t *testing.T) {
-	calls := 0
-	inner := MetricFunc{Fn: func(a, b string) float64 { calls++; return 0.5 }, Label: "counting"}
-	c := NewCached(inner)
-	for i := 0; i < 10; i++ {
-		if got := c.Similarity("a", "b"); got != 0.5 {
-			t.Fatalf("cached value = %v", got)
-		}
-	}
-	if calls != 1 {
-		t.Errorf("inner metric called %d times, want 1", calls)
-	}
-	if c.Size() != 1 {
-		t.Errorf("cache size = %d", c.Size())
-	}
-	c.Similarity("b", "a") // ordered keys: new entry
-	if c.Size() != 2 {
-		t.Errorf("cache size after reversed pair = %d, want 2", c.Size())
-	}
-	if !strings.Contains(c.Name(), "counting") {
-		t.Errorf("Name = %q", c.Name())
-	}
-}
-
-func TestCachedConcurrent(t *testing.T) {
-	c := NewCached(EditSim{})
-	done := make(chan bool)
-	for g := 0; g < 8; g++ {
-		go func(g int) {
-			for i := 0; i < 200; i++ {
-				c.Similarity("alpha", "beta")
-				c.Similarity("gamma", "delta")
-			}
-			done <- true
-		}(g)
-	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-	if c.Size() != 2 {
-		t.Errorf("cache size = %d, want 2", c.Size())
-	}
-}

@@ -1,9 +1,9 @@
 // Record payload codecs and the log replay. DecodeTenant is the whole
 // read side of the store: it walks the framed records of one tenant
 // file, replays base + diff records into a snapshot at the exact
-// persisted version, and carries the index/memo warm-start hints out
-// for the caller to validate. Everything here is pure — no file I/O —
-// which is what makes the corruption discipline fuzzable.
+// persisted version, and skips the legacy index and memo records older
+// logs hold. Everything here is pure — no file I/O — which is what
+// makes the corruption discipline fuzzable.
 
 package store
 
@@ -11,8 +11,6 @@ import (
 	"bytes"
 	"fmt"
 
-	"repro/internal/engine"
-	"repro/internal/matchers/clustered"
 	"repro/internal/xmlschema"
 )
 
@@ -171,104 +169,6 @@ func (dd *decodedDiff) apply(snap *xmlschema.Snapshot) (*xmlschema.Snapshot, err
 	return snap.AtVersion(dd.to)
 }
 
-// encodeIndex builds an index-record payload from a cluster-index
-// state, stamped with the snapshot version it describes and the metric
-// its distances came from.
-func encodeIndex(version uint64, metric string, st *clustered.State) []byte {
-	e := &encoder{}
-	e.uvarint(payloadFormat)
-	e.uvarint(version)
-	e.str(metric)
-	e.uvarint(uint64(st.K))
-	e.uvarint(st.Seed)
-	e.uvarint(uint64(st.Workers))
-	e.f64(st.RebuildFraction)
-	e.f64(st.Silhouette)
-	e.uvarint(uint64(st.BaseNames))
-	e.uvarint(uint64(st.Drift))
-	for _, mn := range st.MedoidNames {
-		e.str(mn)
-	}
-	names, clusters := st.SortedAssignments()
-	e.uvarint(uint64(len(names)))
-	for i, n := range names {
-		e.str(n)
-		e.uvarint(uint64(clusters[i]))
-	}
-	return e.b
-}
-
-// indexRecord is a decoded index hint, not yet validated against a
-// repository (that is clustered.Restore's job).
-type indexRecord struct {
-	version uint64
-	metric  string
-	state   clustered.State
-}
-
-func decodeIndex(payload []byte) (*indexRecord, error) {
-	d := &decoder{b: payload}
-	if f := d.uvarint(); d.err == nil && f != payloadFormat {
-		return nil, fmt.Errorf("%w: index format %d", ErrCorruptRecord, f)
-	}
-	ir := &indexRecord{version: d.uvarint(), metric: d.str()}
-	k := d.count(1)
-	ir.state.K = k
-	ir.state.Seed = d.uvarint()
-	ir.state.Workers = int(d.uvarint())
-	ir.state.RebuildFraction = d.f64()
-	ir.state.Silhouette = d.f64()
-	ir.state.BaseNames = int(d.uvarint())
-	ir.state.Drift = int(d.uvarint())
-	for i := 0; i < k && d.err == nil; i++ {
-		ir.state.MedoidNames = append(ir.state.MedoidNames, d.str())
-	}
-	n := d.count(2)
-	ir.state.Assign = make(map[string]int, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		name := d.str()
-		ir.state.Assign[name] = int(d.uvarint())
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	if len(ir.state.Assign) != n {
-		return nil, fmt.Errorf("%w: duplicate index assignment names", ErrCorruptRecord)
-	}
-	return ir, nil
-}
-
-// encodeMemo builds a memo-record payload: the metric name and a
-// bounded, (A, B)-sorted slice of memoized scores.
-func encodeMemo(metric string, entries []engine.MemoEntry) []byte {
-	e := &encoder{}
-	e.uvarint(payloadFormat)
-	e.str(metric)
-	e.uvarint(uint64(len(entries)))
-	for _, en := range entries {
-		e.str(en.A)
-		e.str(en.B)
-		e.f64(en.Score)
-	}
-	return e.b
-}
-
-func decodeMemo(payload []byte) (metric string, entries []engine.MemoEntry, err error) {
-	d := &decoder{b: payload}
-	if f := d.uvarint(); d.err == nil && f != payloadFormat {
-		return "", nil, fmt.Errorf("%w: memo format %d", ErrCorruptRecord, f)
-	}
-	metric = d.str()
-	n := d.count(10)
-	for i := 0; i < n && d.err == nil; i++ {
-		entries = append(entries, engine.MemoEntry{A: d.str(), B: d.str(), Score: d.f64()})
-	}
-	if err := d.done(); err != nil {
-		return "", nil, err
-	}
-	return metric, entries, nil
-}
-
 // LoadReport describes how a load went: how much of the file was
 // usable and what was dropped.
 type LoadReport struct {
@@ -294,16 +194,6 @@ type TenantState struct {
 	// LastCompaction is the unix-seconds stamp of the base record the
 	// snapshot was replayed from (0: unknown).
 	LastCompaction int64
-	// Index is the persisted cluster-index state whose version matched
-	// the final snapshot version; nil when absent or stale. It is a
-	// hint: callers validate it with clustered.Restore before serving.
-	Index *clustered.State
-	// IndexMetric names the metric the index distances came from.
-	IndexMetric string
-	// MemoMetric and Memo are the persisted warm memo slice (empty when
-	// absent). A hint: callers validate with engine.Memo.Seed.
-	MemoMetric string
-	Memo       []engine.MemoEntry
 	// Report describes the load itself.
 	Report LoadReport
 }
@@ -345,7 +235,6 @@ func decodeTail(data []byte, visit func(typ byte, payload []byte) error) (validL
 func DecodeTenant(data []byte) (*TenantState, error) {
 	ts := &TenantState{}
 	var snap *xmlschema.Snapshot
-	var lastIndex *indexRecord
 	validLen, tailErr := decodeTail(data, func(typ byte, payload []byte) error {
 		switch typ {
 		case recBase:
@@ -379,18 +268,9 @@ func DecodeTenant(data []byte) (*TenantState, error) {
 			}
 			snap = next
 			ts.Report.DiffsReplayed++
-		case recIndex:
-			ir, err := decodeIndex(payload)
-			if err != nil {
-				return err
-			}
-			lastIndex = ir
-		case recMemo:
-			metric, entries, err := decodeMemo(payload)
-			if err != nil {
-				return err
-			}
-			ts.MemoMetric, ts.Memo = metric, entries
+		case recIndex, recMemo:
+			// Legacy warm-start hints: their frame passed the CRC check,
+			// and nothing reads their payload any more.
 		default:
 			return fmt.Errorf("%w: unknown record type %q", ErrCorruptRecord, typ)
 		}
@@ -410,12 +290,5 @@ func DecodeTenant(data []byte) (*TenantState, error) {
 		return nil, ErrNoBase
 	}
 	ts.Snapshot = snap
-	// The index hint is only meaningful for the snapshot it was taken
-	// of; a stale one (diffs appended after it) is dropped here rather
-	// than served wrong.
-	if lastIndex != nil && lastIndex.version == snap.Version() {
-		ts.Index = &lastIndex.state
-		ts.IndexMetric = lastIndex.metric
-	}
 	return ts, nil
 }

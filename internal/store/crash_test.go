@@ -109,7 +109,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			st.wrapWriter = func(_ string, w io.Writer) io.Writer {
 				return &FailingWriter{W: w, Remaining: budget}
 			}
-			cerr := st.Tenant("t").Compact(committed.Version(), committed.Repository(), "", nil, "", nil)
+			cerr := st.Tenant("t").Compact(committed.Version(), committed.Repository())
 			st.wrapWriter = nil
 			if cerr != nil && !errors.Is(cerr, ErrInjectedFault) && !errors.Is(cerr, io.ErrShortWrite) {
 				t.Fatalf("round %d: compact error %v", round, cerr)

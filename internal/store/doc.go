@@ -1,9 +1,9 @@
 // Package store is the durable tenant store of the matching layer: an
 // append-friendly, single-file-per-tenant log that persists a tenant's
-// repository snapshot, its incremental diff history, its cluster-index
-// state, and a bounded warm slice of the scoring memo — everything a
+// repository snapshot and its incremental diff history — everything a
 // restarted process needs to recover the tenant to its exact pre-crash
-// Version() and serve warm without re-clustering.
+// Version(). Nothing derived from the repository is persisted: cluster
+// indexes rebuild on first use and the scoring engine keeps no state.
 //
 // # File format
 //
@@ -15,7 +15,7 @@
 // and every record is independently framed and checksummed:
 //
 //	uint32 LE  payload length N (bounded by MaxRecordBytes)
-//	byte       record type: 'B' base, 'D' diff, 'I' index, 'M' memo
+//	byte       record type: 'B' base, 'D' diff ('I', 'M': legacy)
 //	N bytes    payload
 //	uint32 LE  CRC32C (Castagnoli) over the preceding 5+N bytes
 //
@@ -38,12 +38,6 @@
 //	             removed count × name,
 //	             replaced count × schema XML (the new schema),
 //	             added count × schema XML
-//	index ('I'): fmt=1, snapshot version, metric name, K, seed,
-//	             workers, rebuild fraction, silhouette, base names,
-//	             drift, K × medoid name,
-//	             assignment count × (name, cluster) sorted by name
-//	memo  ('M'): fmt=1, metric name, entry count × (a, b, score)
-//	             sorted by (a, b)
 //
 // # Replay and versions
 //
@@ -55,18 +49,22 @@
 // land on the same number. A diff that does not chain is corruption:
 // the walk stops there.
 //
-// Index and memo records are warm-start hints, not truth: an index
-// record is adopted only when its version matches the final replayed
-// version and its membership passes the nearest-medoid parity check
-// (clustered.Restore); a memo record only when its metric matches and
-// spot re-computation agrees (engine.Memo.Seed). A rejected hint
-// degrades to a lazy rebuild, never to a wrong answer.
+// # Legacy records
+//
+// Logs compacted by older versions also hold index ('I') records
+// (cluster-index state) and memo ('M') records (a slice of a scoring
+// memo), written after a base as warm-start hints. Replay and the
+// appender's tail scan still require their frames to pass the length
+// bound and CRC like any other record — a damaged one ends the valid
+// prefix — and then skip them without reading the payload, so the
+// diffs after them replay and new diffs chain after them. No current
+// code writes either type; the next compaction drops them.
 //
 // # Compaction
 //
 // AppendDiff grows the file by one diff record per update. Compact
-// rewrites the file as header + one fresh base record (plus current
-// index/memo records) via write-to-temp-and-rename, so readers and
+// rewrites the file as header + one fresh base record via
+// write-to-temp-and-rename, so readers and
 // crashes only ever observe the old complete file or the new one.
 // Compacting with a snapshot older than the log tail fails with
 // ErrStaleCompact — compaction must never rewind durable state.

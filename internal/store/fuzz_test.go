@@ -3,15 +3,39 @@ package store
 import (
 	"bytes"
 	"errors"
+	"os"
 	"testing"
 
-	"repro/internal/engine"
-	"repro/internal/matchers/clustered"
 	"repro/internal/xmlschema"
 )
 
+// legacyFrames returns the index and memo frames of the committed
+// golden log, in file order: real bytes of the record types older
+// versions wrote and replay now skips.
+func legacyFrames(t testing.TB) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile(legacyLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames [][]byte
+	off := len(magic)
+	for off < len(data) {
+		typ, _, next, err := nextRecord(data, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ == recIndex || typ == recMemo {
+			frames = append(frames, data[off:next])
+		}
+		off = next
+	}
+	return frames
+}
+
 // encodeTenantFile builds a well-formed store file in memory: the seed
-// corpus real archives mutate from.
+// corpus real archives mutate from. A base, the legacy index and memo
+// frames, then a diff that must still chain after them.
 func encodeTenantFile(t testing.TB) []byte {
 	t.Helper()
 	snap := mustSnapshot(t, mustSchema(t, "a", "x", "y"), mustSchema(t, "b", "z"))
@@ -27,17 +51,13 @@ func encodeTenantFile(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ixPayload := encodeIndex(next.Version(), "m", &clustered.State{
-		K: 1, MedoidNames: []string{"x"}, BaseNames: 4,
-		Assign: map[string]int{"aRoot": 0, "bRoot": 0, "cRoot": 0, "x": 0, "y": 0, "z": 0, "k": 0},
-	})
-	memoPayload := encodeMemo("m", []engine.MemoEntry{{A: "x", B: "y", Score: 0.5}})
 	var f bytes.Buffer
 	f.WriteString(magic)
 	f.Write(frameRecord(recBase, base))
+	for _, fr := range legacyFrames(t) {
+		f.Write(fr)
+	}
 	f.Write(frameRecord(recDiff, diffPayload))
-	f.Write(frameRecord(recIndex, ixPayload))
-	f.Write(frameRecord(recMemo, memoPayload))
 	return f.Bytes()
 }
 
@@ -49,12 +69,15 @@ func encodeTenantFile(t testing.TB) []byte {
 //     (ErrCorruptRecord wraps, or ErrNoBase);
 //   - a returned state always carries a snapshot at version ≥ 1 whose
 //     repository re-serializes (it decoded from schema XML, so it must
-//     encode back);
-//   - a returned index hint never crashes the parity self-check
-//     (clustered.Restore verifies or rejects it, both are fine).
+//     encode back).
 func FuzzLoadTenant(f *testing.F) {
 	valid := encodeTenantFile(f)
 	f.Add(valid)
+	golden, err := os.ReadFile(legacyLog)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
 	f.Add([]byte{})
 	f.Add([]byte(magic))
 	f.Add([]byte("MSTORE2\n junk"))
@@ -94,20 +117,6 @@ func FuzzLoadTenant(f *testing.F) {
 		}
 		if ts.Report.TailError != nil && !errors.Is(ts.Report.TailError, ErrCorruptRecord) {
 			t.Fatalf("untyped tail error %v", ts.Report.TailError)
-		}
-		if ts.Index != nil {
-			// The parity self-check must classify the hint, not panic on
-			// it; a crafted state that fails parity must be rejected.
-			if _, rerr := clustered.Restore(ts.Snapshot.Repository(), *ts.Index, nil); rerr != nil {
-				return
-			}
-		}
-		if len(ts.Memo) > 0 {
-			// Seed with full verification either accepts or rejects.
-			memo := engine.New(nil)
-			if ts.MemoMetric == memo.MetricName() {
-				_ = memo.Seed(ts.Memo, len(ts.Memo))
-			}
 		}
 	})
 }

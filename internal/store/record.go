@@ -42,7 +42,9 @@ const MaxRecordBytes = 1 << 28
 // type, 4-byte CRC.
 const recordOverhead = 9
 
-// Record types.
+// Record types. Index and memo records are written by no current
+// code; logs compacted by older versions hold them, and replay skips
+// them (see the package documentation).
 const (
 	recBase  byte = 'B'
 	recDiff  byte = 'D'

@@ -12,8 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/engine"
-	"repro/internal/matchers/clustered"
 	"repro/internal/xmlschema"
 )
 
@@ -209,14 +207,8 @@ func (t *Tenant) scanTailLocked() error {
 			}
 			t.tailVersion = dd.to
 			t.diffsSinceBase++
-		case recIndex:
-			if _, err := decodeIndex(payload); err != nil {
-				return err
-			}
-		case recMemo:
-			if _, _, err := decodeMemo(payload); err != nil {
-				return err
-			}
+		case recIndex, recMemo:
+			// Legacy hints: CRC-checked by the walk, skipped like Load.
 		default:
 			return fmt.Errorf("%w: unknown record type %q", ErrCorruptRecord, typ)
 		}
@@ -437,30 +429,11 @@ func (t *Tenant) AppendDiff(next *xmlschema.Snapshot, diff xmlschema.Diff) error
 	}
 }
 
-// AppendIndex appends the cluster-index state as a warm-start hint for
-// the snapshot version it was taken of.
-func (t *Tenant) AppendIndex(version uint64, metric string, st *clustered.State) error {
-	if st == nil {
-		return fmt.Errorf("store: %s: nil index state", t.name)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.appendRecordLocked(frameRecord(recIndex, encodeIndex(version, metric, st)))
-}
-
-// AppendMemo appends a bounded warm slice of the scoring memo.
-func (t *Tenant) AppendMemo(metric string, entries []engine.MemoEntry) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.appendRecordLocked(frameRecord(recMemo, encodeMemo(metric, entries)))
-}
-
 // Compact rewrites the log as one fresh base record at the given
-// version (plus optional index and memo records), atomically. A
-// version behind the committed tail fails with ErrStaleCompact — the
-// caller's snapshot is older than what the log already holds, and
-// compaction must never rewind durable state.
-func (t *Tenant) Compact(version uint64, repo *xmlschema.Repository, indexMetric string, ixState *clustered.State, memoMetric string, memo []engine.MemoEntry) error {
+// version, atomically. A version behind the committed tail fails with
+// ErrStaleCompact — the caller's snapshot is older than what the log
+// already holds, and compaction must never rewind durable state.
+func (t *Tenant) Compact(version uint64, repo *xmlschema.Repository) error {
 	if repo == nil {
 		return fmt.Errorf("store: %s: nil repository", t.name)
 	}
@@ -473,27 +446,7 @@ func (t *Tenant) Compact(version uint64, repo *xmlschema.Repository, indexMetric
 		return fmt.Errorf("store: %s: compact at version %d, log at %d: %w",
 			t.name, version, t.tailVersion, ErrStaleCompact)
 	}
-	now := time.Now().Unix()
-	basePayload, err := encodeBase(version, now, repo)
-	if err != nil {
-		return fmt.Errorf("store: %s: %w", t.name, err)
-	}
-	frames := [][]byte{frameRecord(recBase, basePayload)}
-	if ixState != nil {
-		frames = append(frames, frameRecord(recIndex, encodeIndex(version, indexMetric, ixState)))
-	}
-	if len(memo) > 0 {
-		frames = append(frames, frameRecord(recMemo, encodeMemo(memoMetric, memo)))
-	}
-	if err := t.rewriteLocked(frames...); err != nil {
-		t.tailKnown = false
-		return err
-	}
-	t.tailKnown = true
-	t.tailVersion = version
-	t.diffsSinceBase = 0
-	t.lastCompaction = now
-	return nil
+	return t.saveBaseLocked(version, repo)
 }
 
 // Load reads and replays the tenant's log (see DecodeTenant). The tail
@@ -526,15 +479,14 @@ func (t *Tenant) Load() (*TenantState, error) {
 }
 
 // CompactSelf compacts the log from its own contents: load, then
-// rewrite as a fresh base (keeping a version-matched index hint and
-// the memo slice). It serves the offline path — compacting a tenant
-// whose service is not resident.
+// rewrite as a fresh base. It serves the offline path — compacting a
+// tenant whose service is not resident.
 func (t *Tenant) CompactSelf() error {
 	ts, err := t.Load()
 	if err != nil {
 		return err
 	}
-	return t.Compact(ts.Version(), ts.Snapshot.Repository(), ts.IndexMetric, ts.Index, ts.MemoMetric, ts.Memo)
+	return t.Compact(ts.Version(), ts.Snapshot.Repository())
 }
 
 // Stats is a point-in-time view of one tenant's log file.

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/engine"
-	"repro/internal/matchers/clustered"
 	"repro/internal/xmlschema"
 )
 
@@ -326,11 +324,11 @@ func TestCompactAndStaleCompact(t *testing.T) {
 
 	// Compacting with an older snapshot must refuse.
 	old := mustSnapshot(t, mustSchema(t, "a", "x"))
-	if err := ten.Compact(old.Version(), old.Repository(), "", nil, "", nil); !errors.Is(err, ErrStaleCompact) {
+	if err := ten.Compact(old.Version(), old.Repository()); !errors.Is(err, ErrStaleCompact) {
 		t.Fatalf("stale compact = %v, want ErrStaleCompact", err)
 	}
 
-	if err := ten.Compact(snap.Version(), snap.Repository(), "", nil, "", nil); err != nil {
+	if err := ten.Compact(snap.Version(), snap.Repository()); err != nil {
 		t.Fatal(err)
 	}
 	compacted, err := ten.Stats()
@@ -370,63 +368,6 @@ func TestCompactAndStaleCompact(t *testing.T) {
 	}
 	if ts, err = ten.Load(); err != nil || ts.Version() != next.Version() {
 		t.Fatalf("CompactSelf: load %v version %d, want %d", err, ts.Version(), next.Version())
-	}
-}
-
-func TestIndexAndMemoHints(t *testing.T) {
-	st := openTestStore(t)
-	ten := st.Tenant("t")
-
-	snap := mustSnapshot(t, mustSchema(t, "a", "x"), mustSchema(t, "b", "x"))
-	if err := ten.SaveBase(snap.Version(), snap.Repository()); err != nil {
-		t.Fatal(err)
-	}
-	ixState := &clustered.State{
-		K:           1,
-		MedoidNames: []string{"x"},
-		BaseNames:   3,
-		Assign:      map[string]int{"aRoot": 0, "bRoot": 0, "x": 0},
-	}
-	if err := ten.AppendIndex(snap.Version(), "jaccard-ngram", ixState); err != nil {
-		t.Fatal(err)
-	}
-	memo := []engine.MemoEntry{{A: "aRoot", B: "bRoot", Score: 0.25}, {A: "aRoot", B: "x", Score: 0.5}}
-	if err := ten.AppendMemo("jaccard-ngram", memo); err != nil {
-		t.Fatal(err)
-	}
-
-	ts, err := ten.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts.Index == nil || ts.IndexMetric != "jaccard-ngram" {
-		t.Fatalf("index hint not recovered: %+v", ts.Index)
-	}
-	if len(ts.Index.Assign) != 3 || ts.Index.Assign["x"] != 0 || ts.Index.K != 1 {
-		t.Fatalf("index hint content %+v", ts.Index)
-	}
-	if ts.MemoMetric != "jaccard-ngram" || len(ts.Memo) != 2 || ts.Memo[1].Score != 0.5 {
-		t.Fatalf("memo hint content %v %v", ts.MemoMetric, ts.Memo)
-	}
-
-	// A diff appended after the index record makes the hint stale: it
-	// must be dropped, never served for the wrong version.
-	next, err := snap.Add(mustSchema(t, "c"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ten.AppendDiff(next, xmlschema.DiffSnapshots(snap, next)); err != nil {
-		t.Fatal(err)
-	}
-	ts, err = ten.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts.Index != nil {
-		t.Fatal("stale index hint survived a later diff")
-	}
-	if len(ts.Memo) != 2 {
-		t.Fatal("memo hint should survive (validated by recompute, not version)")
 	}
 }
 

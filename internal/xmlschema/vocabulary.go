@@ -4,8 +4,8 @@ package xmlschema
 // with every element's position in it. Repositories repeat names
 // heavily (a 1 300-schema corpus of 24 000 elements carries a few
 // hundred distinct names), so anything computed per name — the
-// matching layer's name-cost columns, a memo's live-name set — costs
-// one evaluation per distinct name instead of one per element.
+// matching layer's name-cost columns — costs one evaluation per
+// distinct name instead of one per element.
 //
 // A Vocabulary is immutable and safe for concurrent readers; its
 // slices must not be modified.

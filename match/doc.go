@@ -16,9 +16,9 @@
 // A Service is built once over an xmlschema.Repository and amortizes
 // every per-repository and per-query-schema cost across requests:
 //
-//   - the shared scoring engine (engine.Memo) every stage draws
-//     node-pair scores from — one memo table grows across all
-//     requests, never per request;
+//   - the scoring engine (engine.New) every stage draws node-pair
+//     scores from — a pure function of its name pair that keeps no
+//     scores, so there is nothing to warm, prune or persist;
 //   - the clustered index backing "clustered" specs, built lazily on
 //     the first request that needs it and reused forever after;
 //   - per-personal-schema sessions (the Problem's cost tables and the
@@ -62,10 +62,7 @@
 //     current one via clustered.Index.Apply — membership changes only
 //     for names whose repository-wide refcount crossed zero, with new
 //     names joining their nearest medoid (bit-identical to rebuilding
-//     membership over the fixed medoid set);
-//   - scoring memo: entries touching names that vanished from the
-//     repository are pruned (scores are pure, so this is purely a
-//     memory bound); every other memoized pair stays warm.
+//     membership over the fixed medoid set).
 //
 // When full rebuild triggers. Keeping medoids fixed preserves answer
 // correctness (the clustered matcher stays a sound restriction of the
@@ -160,8 +157,8 @@
 // horizon only decides which requests benefit from pruning. Passing
 // horizon ≤ 0 defaults it to the top of the service's threshold grid,
 // covering every in-grid request. WithCandidateIndex requires a scorer
-// that exposes its metric (engine.Memo or engine.Uncached — any scorer
-// with a Metric() accessor), because bounds are only admissible for
+// that exposes its metric (engine.KernelScorer, or any scorer with a
+// Metric() accessor), because bounds are only admissible for
 // the metric the tables are scored with; NewService rejects the option
 // otherwise.
 //
@@ -236,8 +233,8 @@
 // The tenancy model: tenants are registered up front (Register or
 // AddTenant) but their Services are built lazily on first request. An
 // LRU bounds how many tenants stay resident (WithResidentTenants);
-// evicting a tenant drops its service — scoring memo, cluster index,
-// sessions — while requests already holding it finish safely, and the
+// evicting a tenant drops its service — cluster index, sessions —
+// while requests already holding it finish safely, and the
 // next request rebuilds it from the registration.
 //
 // Admission control protects the bounded worker pool: WithQueueDepth
@@ -258,8 +255,8 @@
 // single queries, MatchBatch whenever several requests exist at once.
 //
 // Server.Stats and Server.TenantStats expose the admission counters
-// and per-tenant residency, in-flight load, and scoring-cache traffic
-// for dashboards and load harnesses (see cmd/matchload).
+// and per-tenant residency, in-flight load, and name pairs scored for
+// dashboards and load harnesses (see cmd/matchload).
 //
 // # Graceful drain
 //
@@ -287,7 +284,7 @@
 //   - POST /v1/match/{tenant} and POST /v1/batch carry personal
 //     schemas as name-typed element trees, delta, a registry matcher
 //     spec, and a limit; responses carry the ranked answers, the full
-//     Stats (search work, cache traffic, shard fan-out, candidate
+//     Stats (search work, pairs scored, shard fan-out, candidate
 //     pruning), and the guaranteed bounds curve.
 //   - Authorization is bearer-token: per-tenant tokens, global serving
 //     tokens, and separate admin tokens guarding tenant
@@ -301,7 +298,7 @@
 //     ErrServerClosed → 503, deadline expiry → 504. Error bodies carry
 //     machine-readable codes.
 //   - GET /metrics exposes Prometheus text (admission counters,
-//     per-tenant cache traffic and versions, shard fan-out and
+//     per-tenant pairs scored and versions, shard fan-out and
 //     candidate-pruning totals); GET /healthz flips to 503 while
 //     draining so load balancers stop routing before the drain ends.
 //
@@ -337,11 +334,10 @@
 // Recovery inverts the pipeline: load the persisted state, rebuild the
 // snapshot at its exact committed Version (so later diffs chain onto
 // the log tail), and construct the service over it with
-// NewServiceFromSnapshot — optionally seeding the first serving
-// generation with a rehydrated cluster index (WithRestoredIndex,
-// validated against the snapshot's repository) and a warm scoring
-// memo. Service.IndexState exports the built index state for
-// compaction without ever triggering a build. cmd/matchd wires the
+// NewServiceFromSnapshot. The store persists repository state only;
+// a recovered service builds its cluster index on first use and
+// scores through a fresh engine, exactly like a new one, so recovery
+// cannot serve anything a fresh build would not. cmd/matchd wires the
 // whole cycle behind -store-dir: eager recovery at boot, periodic and
 // shutdown compaction, and per-tenant store gauges on /metrics.
 //

@@ -53,7 +53,7 @@ type Result struct {
 }
 
 // Stats quantifies one request's work: wall-clock, search counters,
-// and the scoring-engine cache traffic the request generated.
+// and the name pairs the request's search scored.
 type Stats struct {
 	// Matcher is the canonical spec of the system that ran.
 	Matcher string
@@ -63,10 +63,11 @@ type Stats struct {
 	// Search counts the work of the run's enumeration. Zero when the
 	// system does not implement matching.StatsMatcher.
 	Search matching.SearchStats
-	// Cache is the scoring-engine traffic during the request (hits,
-	// misses, and new entries). Under concurrent requests sharing one
-	// engine the attribution is approximate — concurrent traffic
-	// blends into whichever requests are in flight.
+	// Cache is the scoring-engine work during the search: name pairs
+	// scored, as Misses (Hits and Entries are always 0). Under
+	// concurrent requests sharing one engine the attribution is
+	// approximate — concurrent work blends into whichever requests are
+	// in flight.
 	Cache engine.Stats
 	// Sharded carries the scatter-gather fan-out metrics — per-shard
 	// wall-clock, answers, and search work, plus the merge overhead —

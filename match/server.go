@@ -35,8 +35,8 @@ var (
 	ErrTenantExists = errors.New("match: tenant already registered")
 )
 
-// defaultResidentTenants bounds how many tenant services (scoring
-// memo, cluster index, sessions) stay resident at once; see
+// defaultResidentTenants bounds how many tenant services (cluster
+// index, sessions) stay resident at once; see
 // WithResidentTenants.
 const defaultResidentTenants = 8
 
@@ -80,8 +80,7 @@ func WithTenantConcurrency(n int) ServerOption { return func(c *serverConfig) { 
 func WithTenantShards(k int) ServerOption { return func(c *serverConfig) { c.tenantShards = k } }
 
 // WithResidentTenants bounds how many tenants' services are resident
-// at once. A tenant's Service (its scoring memo, cluster index, and
-// session cache) is built lazily on first request and LRU-evicted
+// at once. A tenant's Service (its cluster index and session cache) is built lazily on first request and LRU-evicted
 // beyond this bound; an evicted tenant stays registered and is rebuilt
 // on its next request, while requests already holding the evicted
 // service finish safely on it. Values < 1 select the default (8).
@@ -436,10 +435,9 @@ type TenantStats struct {
 	// Version is the tenant's current repository snapshot version
 	// (zero when the tenant is not resident).
 	Version uint64
-	// Cache is the cumulative scoring-engine traffic of the tenant's
-	// service across every request it served while resident. Zero when
-	// the tenant is not resident or its scorer is not a memoizing
-	// engine.
+	// Cache is the cumulative work of the tenant's scorer — name pairs
+	// scored, as Misses — while resident. Zero when the tenant is not
+	// resident or its scorer keeps no counters.
 	Cache engine.Stats
 }
 

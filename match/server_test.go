@@ -530,7 +530,7 @@ func TestServerTenantStats(t *testing.T) {
 		t.Errorf("InFlight = %d after completion", st.InFlight)
 	}
 	if st.Cache.Hits+st.Cache.Misses == 0 {
-		t.Error("no cache traffic recorded for a served tenant")
+		t.Error("no scoring work recorded for a served tenant")
 	}
 	if _, err := srv.TenantStats("nobody"); !errors.Is(err, ErrUnknownTenant) {
 		t.Errorf("unknown tenant stats err = %v", err)

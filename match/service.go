@@ -45,7 +45,6 @@ type config struct {
 	candidates    bool
 	candHorizon   float64
 	store         TenantStore
-	restoredIndex *clustered.Index
 }
 
 // Option configures a Service at construction.
@@ -53,10 +52,8 @@ type Option func(*config)
 
 // WithScorer threads a caller-owned scoring engine through every stage
 // the service runs: cost-table builds, the cluster index, and online
-// cluster selection. Without it the service creates and owns a fresh
-// memoized engine (engine.New), which is almost always what a
-// long-lived service wants — the memo grows with the repository's
-// name vocabulary and dies with the service.
+// cluster selection. Without it the service creates its own
+// (engine.New over the default metric).
 func WithScorer(s engine.Scorer) Option { return func(c *config) { c.scorer = s } }
 
 // WithMatchConfig sets the objective function configuration (weights,
@@ -68,7 +65,7 @@ func WithMatchConfig(cfg matching.Config) Option {
 
 // WithIndexConfig configures the lazily built clustered index backing
 // "clustered" specs. A nil IndexConfig.Scorer inherits the service
-// scorer, so offline clustering and online search share one memo.
+// scorer, so offline clustering and online search score alike.
 func WithIndexConfig(cfg clustered.IndexConfig) Option {
 	return func(c *config) { c.indexCfg = cfg }
 }
@@ -140,8 +137,8 @@ func WithShards(k int) Option { return func(c *config) { c.shards = k } }
 // gains Candidates telemetry (pairs pruned, pruning ratio, bound
 // floor).
 //
-// The option requires a scorer that exposes its metric (engine.Memo or
-// engine.Uncached — true by default); NewService fails otherwise,
+// The option requires a scorer that exposes its metric (engine's
+// KernelScorer does); NewService fails otherwise,
 // because bounds derived for one metric are unsound for another.
 func WithCandidateIndex(horizon float64) Option {
 	return func(c *config) { c.candidates = true; c.candHorizon = horizon }
@@ -185,9 +182,9 @@ type Service struct {
 	candMetric  similarity.Metric
 
 	scorer engine.Scorer
-	// memo is scorer when it is a *engine.Memo — the only scorer kind
-	// whose cache traffic Stats can report.
-	memo *engine.Memo
+	// counter is scorer when it counts its work (engine.KernelScorer
+	// does) — the source of Stats.Cache and CacheStats.
+	counter statsScorer
 
 	// store, when set, receives every Update's diff after the in-memory
 	// swap (WithStore); nil services are purely in-memory.
@@ -454,7 +451,7 @@ func newService(snapFn func() (*xmlschema.Snapshot, error), opts ...Option) (*Se
 	if cfg.candidates {
 		ms, ok := scorer.(interface{ Metric() similarity.Metric })
 		if !ok {
-			return nil, fmt.Errorf("match: WithCandidateIndex requires a scorer that exposes its metric (engine.Memo or engine.Uncached)")
+			return nil, fmt.Errorf("match: WithCandidateIndex requires a scorer that exposes its metric (engine.KernelScorer)")
 		}
 		candMetric = ms.Metric()
 		candHorizon = cfg.candHorizon
@@ -480,15 +477,8 @@ func newService(snapFn func() (*xmlschema.Snapshot, error), opts ...Option) (*Se
 		store:         cfg.store,
 		sessions:      lru.New[sessionKey, *session](cfg.maxSessions),
 	}
-	st := &serviceState{snap: snap}
-	if cfg.restoredIndex != nil {
-		if cfg.restoredIndex.Repository() != snap.Repository() {
-			return nil, fmt.Errorf("match: restored index is over a different repository")
-		}
-		st.index.Seed(cfg.restoredIndex, nil)
-	}
-	s.state.Store(st)
-	s.memo, _ = scorer.(*engine.Memo)
+	s.state.Store(&serviceState{snap: snap})
+	s.counter, _ = scorer.(statsScorer)
 	return s, nil
 }
 
@@ -514,15 +504,20 @@ func (s *Service) Scorer() engine.Scorer { return s.scorer }
 // Thresholds returns the service's δ grid (callers must not modify).
 func (s *Service) Thresholds() []float64 { return s.thresholds }
 
-// CacheStats returns the cumulative scoring-engine cache traffic of
-// the service's scorer across all requests served so far. It reports
-// ok = false when the scorer is not a memoizing engine (engine.Memo)
-// and no cache exists to observe.
+// statsScorer is a scorer that counts its work.
+type statsScorer interface {
+	Stats() engine.Stats
+}
+
+// CacheStats returns the cumulative work of the service's scorer —
+// pairs scored, as engine.Stats.Misses — across everything the
+// service ran so far. It reports ok = false when the scorer keeps no
+// counters.
 func (s *Service) CacheStats() (st engine.Stats, ok bool) {
-	if s.memo == nil {
+	if s.counter == nil {
 		return engine.Stats{}, false
 	}
-	return s.memo.Stats(), true
+	return s.counter.Stats(), true
 }
 
 // MaxDelta returns the baseline horizon: the top of the threshold
@@ -910,10 +905,7 @@ func (s *Service) matchAt(ctx context.Context, st *serviceState, req Request) (*
 		return nil, err
 	}
 
-	var before engine.Stats
-	if s.memo != nil {
-		before = s.memo.Stats()
-	}
+	before, counted := s.CacheStats()
 	start := time.Now()
 	searchCtx, searchSpan := obs.StartSpan(ctx, "search")
 	searchSpan.SetStr("matcher", sys.Name())
@@ -964,10 +956,10 @@ func (s *Service) matchAt(ctx context.Context, st *serviceState, req Request) (*
 			SessionBuild: sessionBuild,
 		},
 	}
-	if s.memo != nil {
-		res.Stats.Cache = s.memo.Stats().Sub(before)
-		searchSpan.SetInt("cache_hits", res.Stats.Cache.Hits)
-		searchSpan.SetInt("cache_misses", res.Stats.Cache.Misses)
+	if counted {
+		after, _ := s.CacheStats()
+		res.Stats.Cache = after.Sub(before)
+		searchSpan.SetInt("pairs_scored", res.Stats.Cache.Misses)
 	}
 	if cs, ok := prob.CandidateStats(); ok {
 		res.Stats.Candidates = &cs

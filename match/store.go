@@ -9,7 +9,6 @@ package match
 import (
 	"fmt"
 
-	"repro/internal/matchers/clustered"
 	"repro/internal/xmlschema"
 )
 
@@ -38,15 +37,6 @@ type TenantStore interface {
 // documentation's durability section.
 func WithStore(ts TenantStore) Option { return func(c *config) { c.store = ts } }
 
-// WithRestoredIndex seeds the service's first serving generation with
-// an already-built cluster index (typically clustered.Restore over
-// persisted state), so the first clustered request serves warm instead
-// of re-clustering. The index must be built over the same repository
-// the service snapshot wraps; NewServiceFromSnapshot fails otherwise.
-func WithRestoredIndex(ix *clustered.Index) Option {
-	return func(c *config) { c.restoredIndex = ix }
-}
-
 // NewServiceFromSnapshot builds a service over an existing repository
 // snapshot — the recovery path: a snapshot replayed from a durable log
 // keeps its persisted Version() instead of restarting at 1, so diffs
@@ -57,17 +47,6 @@ func NewServiceFromSnapshot(snap *xmlschema.Snapshot, opts ...Option) (*Service,
 		return nil, fmt.Errorf("match: nil snapshot")
 	}
 	return newService(func() (*xmlschema.Snapshot, error) { return snap, nil }, opts...)
-}
-
-// IndexState exports the current generation's cluster-index state when
-// the index is already built, without ever triggering a build — the
-// compaction path persists a warm-start hint only if one exists.
-func (s *Service) IndexState() (*clustered.State, bool) {
-	ix, err, done := s.currentState().builtIndex()
-	if !done || err != nil || ix == nil {
-		return nil, false
-	}
-	return ix.State(), true
 }
 
 // WithServerStore attaches a per-tenant durable store provider to the

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/engine"
-	"repro/internal/matchers/clustered"
 	"repro/internal/store"
 	"repro/internal/xmlschema"
 )
@@ -140,61 +138,6 @@ type failingStore struct{}
 func (f *failingStore) SaveBase(uint64, *xmlschema.Repository) error { return errStoreDown }
 func (f *failingStore) AppendDiff(*xmlschema.Snapshot, xmlschema.Diff) error {
 	return errStoreDown
-}
-
-// TestRestoredIndexServesWarm proves WithRestoredIndex skips the
-// re-cluster: the seeded index object is the one the service serves,
-// and it agrees with the live service's answers.
-func TestRestoredIndexServesWarm(t *testing.T) {
-	sc := testScenario(t, 9, 30)
-	scorer := engine.New(nil)
-	svc, err := NewService(sc.Repo, WithScorer(scorer), WithIndexConfig(clustered.IndexConfig{Seed: 5}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := svc.Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	state := ix.State()
-
-	restored, err := clustered.Restore(svc.Repository(), *state, scorer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := NewServiceFromSnapshot(svc.Snapshot(),
-		WithScorer(scorer), WithIndexConfig(clustered.IndexConfig{Seed: 5}),
-		WithRestoredIndex(restored))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := warm.Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != restored {
-		t.Fatal("service rebuilt the index instead of adopting the restored one")
-	}
-	ctx := context.Background()
-	want, err := svc.Match(ctx, Request{Personal: sc.Personal, Delta: 0.4, Matcher: "clustered"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := warm.Match(ctx, Request{Personal: sc.Personal, Delta: 0.4, Matcher: "clustered"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSets(t, "restored-index clustered", want.Set, res.Set)
-
-	// A foreign-repository index is refused at construction.
-	other := testScenario(t, 10, 20)
-	otherSvc, err := NewService(other.Repo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewServiceFromSnapshot(otherSvc.Snapshot(), WithRestoredIndex(restored)); err == nil {
-		t.Fatal("restored index over a foreign repository accepted")
-	}
 }
 
 // TestServerStoreDurableFromRegistration pins WithServerStore: the

@@ -30,10 +30,7 @@ import (
 //   - cached baseline answer sets are patched: answers into removed or
 //     replaced schemas are dropped and only the added/replacement
 //     schemas are searched, yielding exactly the set a from-scratch
-//     baseline over the new snapshot would return;
-//   - scoring-memo entries touching names that vanished from the
-//     repository are pruned, bounding memory under churn (scores are
-//     pure, so pruning never changes results).
+//     baseline over the new snapshot would return.
 //
 // Sessions whose personal schemas were never warmed are simply rebuilt
 // lazily. Concurrent Updates serialize; an error from mutate (or a
@@ -102,7 +99,7 @@ func (s *Service) UpdateContext(ctx context.Context, mutate func(*xmlschema.Snap
 	// Carry every built scatter-gather searcher into the new
 	// generation, preserving LRU order. shard.Searcher.Apply routes the
 	// diff to only the affected shards: unaffected shards keep their
-	// sub-snapshots, scoring caches, and derived indexes by pointer.
+	// sub-snapshots and derived indexes by pointer.
 	// Each carried searcher gets the NEW generation's index provider,
 	// so all of them (and the unsharded matchers) keep sharing the one
 	// index object this generation serves — the diff is applied to the
@@ -164,7 +161,6 @@ func (s *Service) UpdateContext(ctx context.Context, mutate func(*xmlschema.Snap
 	rebaseSpan.SetInt("sessions", int64(len(warm)))
 	rebaseSpan.End()
 
-	s.pruneMemo(nst, diff)
 	s.state.Store(nst)
 
 	// Durability last: the diff is appended only for a transition the
@@ -264,36 +260,4 @@ func (s *Service) rebaseSession(old *session, nst *serviceState, diff xmlschema.
 	}
 	ne.baseSet, ne.baseScores, ne.baseCurve = set, set.ScoreMap(), curve
 	return ne
-}
-
-// pruneMemo drops scoring-memo entries touching names that no longer
-// appear anywhere in the new snapshot. Scores are pure functions of
-// their name pair, so this is purely a memory bound: repositories
-// churning schemas for days must not accumulate score entries for
-// names retired long ago.
-func (s *Service) pruneMemo(nst *serviceState, diff xmlschema.Diff) {
-	if s.memo == nil || len(diff.Removed)+len(diff.Replaced) == 0 {
-		return
-	}
-	// The new snapshot's vocabulary is its live-name set; rebasing the
-	// warm sessions has usually built it already.
-	live := nst.snap.Repository().Vocabulary()
-	retired := make(map[string]bool)
-	collect := func(sch *xmlschema.Schema) {
-		for _, e := range sch.Elements() {
-			if _, ok := live.Index(e.Name); !ok {
-				retired[e.Name] = true
-			}
-		}
-	}
-	for _, sch := range diff.Removed {
-		collect(sch)
-	}
-	for _, ch := range diff.Replaced {
-		collect(ch.Old)
-	}
-	if len(retired) == 0 {
-		return
-	}
-	s.memo.Remove(func(a, b string) bool { return retired[a] || retired[b] })
 }

@@ -83,8 +83,8 @@ func TestServiceUpdateBaselineParity(t *testing.T) {
 // surgical: after a single-schema replace, the warm session survives
 // into the new generation with its cost tables and patched baseline
 // already built, old-generation entries are retired, and a follow-up
-// request's scoring traffic hits the memo (unchanged schemas re-score
-// nothing).
+// request scores no pairs (the rebased tables already hold every
+// score).
 func TestServiceUpdateKeepsWarmSessions(t *testing.T) {
 	sc := testScenario(t, 4, 20)
 	svc, err := NewService(sc.Repo, WithTruth(newTestTruth(sc)))
@@ -148,8 +148,8 @@ func TestServiceUpdateKeepsWarmSessions(t *testing.T) {
 	}
 
 	// An exhaustive request at a sub-horizon δ re-scores nothing: every
-	// pair involved is either unchanged (memoized) or was scored during
-	// the update's patching.
+	// pair involved is either in a transferred table or was scored
+	// during the update's rebase.
 	res, err := svc.Match(ctx, Request{Personal: sc.Personal, Delta: 0.3, Matcher: "exhaustive"})
 	if err != nil {
 		t.Fatal(err)
@@ -528,50 +528,4 @@ func cloneRepo(t *testing.T, repo *xmlschema.Repository) *xmlschema.Repository {
 		}
 	}
 	return cp
-}
-
-// TestUpdatePrunesRetiredNames checks the memo bound of Update: once
-// the last schema carrying a name is removed, every memo entry with
-// that name goes, while entries of names still in the repository stay.
-func TestUpdatePrunesRetiredNames(t *testing.T) {
-	sc := testScenario(t, 6, 12)
-	svc, err := NewService(sc.Repo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const unique = "retiredonlyname"
-	extra, err := xmlschema.NewSchema("retiree", xmlschema.NewElement(unique).Add(
-		xmlschema.NewElement(sc.Repo.Schemas()[0].Root().Name)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Update(func(s *xmlschema.Snapshot) (*xmlschema.Snapshot, error) { return s.Add(extra) }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Problem(sc.Personal); err != nil {
-		t.Fatal(err)
-	}
-	count := func(name string) int {
-		n := 0
-		for _, e := range svc.memo.Entries(0) {
-			if e.A == name || e.B == name {
-				n++
-			}
-		}
-		return n
-	}
-	kept := sc.Repo.Schemas()[0].Root().Name
-	if count(unique) == 0 || count(kept) == 0 {
-		t.Fatalf("memo holds %d entries for %q and %d for %q before the removal; want both > 0",
-			count(unique), unique, count(kept), kept)
-	}
-	if err := svc.Update(func(s *xmlschema.Snapshot) (*xmlschema.Snapshot, error) { return s.Remove("retiree") }); err != nil {
-		t.Fatal(err)
-	}
-	if n := count(unique); n != 0 {
-		t.Errorf("%d memo entries for the retired name %q survived the update", n, unique)
-	}
-	if count(kept) == 0 {
-		t.Errorf("entries for the live name %q were pruned", kept)
-	}
 }
