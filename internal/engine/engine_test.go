@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/similarity"
@@ -22,30 +23,90 @@ func TestScorerMatchesMetric(t *testing.T) {
 		{"İstanbul", "istanbul"},
 	}
 	for _, name := range similarity.MetricNames() {
-		metric, err := similarity.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc := New(metric)
-		for round := 0; round < 2; round++ {
-			for _, p := range pairs {
-				for _, ab := range [][2]string{p, {p[1], p[0]}} {
-					want := metric.Similarity(ab[0], ab[1])
-					if got := sc.Score(ab[0], ab[1]); math.Float64bits(got) != math.Float64bits(want) {
-						t.Errorf("%s: Score(%q, %q) = %v, want %v", name, ab[0], ab[1], got, want)
+		t.Run(name, func(t *testing.T) {
+			metric, err := similarity.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := New(metric)
+			for round := 0; round < 2; round++ {
+				for _, p := range pairs {
+					for _, ab := range [][2]string{p, {p[1], p[0]}} {
+						want := metric.Similarity(ab[0], ab[1])
+						if got := sc.Score(ab[0], ab[1]); math.Float64bits(got) != math.Float64bits(want) {
+							t.Errorf("Score(%q, %q) = %v, want %v", ab[0], ab[1], got, want)
+						}
 					}
 				}
 			}
-		}
-		if got, want := sc.Stats(), (Stats{Misses: int64(4 * len(pairs))}); got != want {
-			t.Errorf("%s: Stats = %+v, want %+v", name, got, want)
-		}
+			if got, want := sc.Stats(), (Stats{Misses: int64(4 * len(pairs))}); got != want {
+				t.Errorf("Stats = %+v, want %+v", got, want)
+			}
+		})
 	}
 	if New(nil).MetricName() != similarity.DefaultNameMetric().Name() {
 		t.Error("nil metric did not default")
 	}
 	if NewUncached(nil).MetricName() != New(nil).MetricName() {
 		t.Error("NewUncached and New build different scorers")
+	}
+}
+
+// countingMetric wraps a metric with an atomic evaluation counter, so
+// tests can observe how often the scorer consults it.
+type countingMetric struct {
+	inner similarity.Metric
+	calls atomic.Int64
+}
+
+func (c *countingMetric) Similarity(a, b string) float64 {
+	c.calls.Add(1)
+	return c.inner.Similarity(a, b)
+}
+
+func (c *countingMetric) Name() string { return "counting(" + c.inner.Name() + ")" }
+
+// TestUncachedPassesThrough pins the scorer as stateless: a metric the
+// kernel cannot compile is evaluated on every Score call, repeated
+// pairs included, and every call counts as one pair scored.
+func TestUncachedPassesThrough(t *testing.T) {
+	cm := &countingMetric{inner: similarity.EditSim{}}
+	u := NewUncached(cm)
+	for i := 0; i < 3; i++ {
+		if got, want := u.Score("a", "b"), cm.inner.Similarity("a", "b"); got != want {
+			t.Fatalf("Score = %v, want %v", got, want)
+		}
+	}
+	if got := cm.calls.Load(); got != 3 {
+		t.Errorf("metric evaluated %d times, want 3 (nothing is kept between calls)", got)
+	}
+	if got, want := u.Stats(), (Stats{Misses: 3}); got != want {
+		t.Errorf("Stats = %+v, want %+v", got, want)
+	}
+	if u.MetricName() != cm.Name() {
+		t.Errorf("MetricName = %q, want %q", u.MetricName(), cm.Name())
+	}
+	if NewUncached(nil).MetricName() != similarity.DefaultNameMetric().Name() {
+		t.Error("nil metric did not default")
+	}
+}
+
+// TestStatsSub pins the snapshot difference callers use to attribute
+// a scorer's work to one request or tenant.
+func TestStatsSub(t *testing.T) {
+	sc := New(nil)
+	before := sc.Stats()
+	sc.Score("title", "name")
+	sess := sc.NewSession()
+	out := make([]float64, 3)
+	sess.ScoreRow("title", []string{"a", "b", "c"}, out)
+	sess.Close()
+	if got, want := sc.Stats().Sub(before), (Stats{Misses: 4}); got != want {
+		t.Errorf("Sub = %+v, want %+v", got, want)
+	}
+	got := Stats{Hits: 7, Misses: 9, Entries: 5}.Sub(Stats{Hits: 2, Misses: 4, Entries: 1})
+	if want := (Stats{Hits: 5, Misses: 5, Entries: 4}); got != want {
+		t.Errorf("Sub = %+v, want %+v", got, want)
 	}
 }
 

@@ -32,8 +32,10 @@ type Repository struct {
 	schemas map[string]*Schema
 	order   []string
 	// sealed marks a repository that backs a Snapshot: it is immutable
-	// and Add fails with ErrSealed. See NewSnapshot.
-	sealed bool
+	// and Add fails with ErrSealed. See NewSnapshot. It is atomic
+	// because one repository may back several lineages (one per
+	// tenant), sealed by one while another already reads it.
+	sealed atomic.Bool
 	// vocab caches a sealed repository's Vocabulary.
 	vocab atomic.Pointer[Vocabulary]
 }
@@ -47,7 +49,7 @@ func NewRepository() *Repository {
 // ErrDuplicateSchema (the error string names the colliding schema);
 // adding to a sealed repository fails with ErrSealed.
 func (r *Repository) Add(s *Schema) error {
-	if r.sealed {
+	if r.sealed.Load() {
 		return ErrSealed
 	}
 	if s == nil {
@@ -63,7 +65,7 @@ func (r *Repository) Add(s *Schema) error {
 
 // Sealed reports whether the repository backs a Snapshot and rejects
 // direct mutation.
-func (r *Repository) Sealed() bool { return r.sealed }
+func (r *Repository) Sealed() bool { return r.sealed.Load() }
 
 // Schema returns the schema named name, or nil.
 func (r *Repository) Schema(name string) *Schema { return r.schemas[name] }

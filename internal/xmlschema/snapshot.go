@@ -48,7 +48,7 @@ func NewSnapshot(repo *Repository) (*Snapshot, error) {
 	if repo == nil {
 		return nil, fmt.Errorf("xmlschema: nil repository")
 	}
-	repo.sealed = true
+	repo.sealed.Store(true)
 	counter := new(atomic.Uint64)
 	counter.Store(1)
 	return &Snapshot{repo: repo, version: 1, counter: counter}, nil
@@ -113,7 +113,7 @@ func (s *Snapshot) Len() int { return s.repo.Len() }
 // derive returns a new snapshot of the same lineage over repo, with the
 // next version of the lineage counter.
 func (s *Snapshot) derive(repo *Repository) *Snapshot {
-	repo.sealed = true
+	repo.sealed.Store(true)
 	return &Snapshot{repo: repo, version: s.counter.Add(1), counter: s.counter}
 }
 

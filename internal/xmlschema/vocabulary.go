@@ -37,7 +37,7 @@ func (v *Vocabulary) Len() int { return len(v.Names) }
 // one that was stored. An unsealed repository can still change through
 // Add, so it builds a fresh vocabulary on every call and caches none.
 func (r *Repository) Vocabulary() *Vocabulary {
-	if !r.sealed {
+	if !r.sealed.Load() {
 		return r.buildVocabulary()
 	}
 	if v := r.vocab.Load(); v != nil {

@@ -105,3 +105,35 @@ func TestVocabularyConcurrentFirstUse(t *testing.T) {
 		t.Fatalf("Len = %d", got[0].Len())
 	}
 }
+
+// One repository may back several snapshot lineages (a server gives
+// each tenant its own): sealing it again for a new lineage while
+// another lineage reads its vocabulary must not race. Run under -race.
+func TestVocabularyWhileResealed(t *testing.T) {
+	repo := vocabRepo(t)
+	first, err := NewSnapshot(repo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := first.Repository().Vocabulary()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if _, err := NewSnapshot(repo); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if v := repo.Vocabulary(); v != want {
+				t.Error("a sealed repository rebuilt its vocabulary")
+			}
+		}()
+	}
+	wg.Wait()
+	if !repo.Sealed() {
+		t.Fatal("repository not sealed")
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/matching"
 	"repro/internal/xmlschema"
 )
 
@@ -528,4 +529,88 @@ func cloneRepo(t *testing.T, repo *xmlschema.Repository) *xmlschema.Repository {
 		}
 	}
 	return cp
+}
+
+// TestUpdatePrunesRetiredNames pins that nothing of a retired schema
+// is scored again: an update that only removes it scores no pairs, its
+// unique name leaves the served vocabulary, a later update that adds a
+// schema scores only that schema's new name, and the warm problem
+// carried across both updates holds the name costs of a fresh build.
+func TestUpdatePrunesRetiredNames(t *testing.T) {
+	sc := testScenario(t, 6, 12)
+	svc, err := NewService(sc.Repo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := sc.Repo.Schemas()[0].Root().Name
+	const unique, fresh = "retiredonlyname", "freshonlyname"
+	schemaWith := func(schema, name string) *xmlschema.Schema {
+		s, err := xmlschema.NewSchema(schema, xmlschema.NewElement(name).Add(xmlschema.NewElement(kept)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if err := svc.Update(func(s *xmlschema.Snapshot) (*xmlschema.Snapshot, error) {
+		return s.Add(schemaWith("retiree", unique))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Problem(sc.Personal); err != nil {
+		t.Fatal(err)
+	}
+	pairs := func() int64 {
+		st, ok := svc.CacheStats()
+		if !ok {
+			t.Fatal("service scorer keeps no counters")
+		}
+		return st.Misses
+	}
+
+	before := pairs()
+	if err := svc.Update(func(s *xmlschema.Snapshot) (*xmlschema.Snapshot, error) { return s.Remove("retiree") }); err != nil {
+		t.Fatal(err)
+	}
+	if got := pairs() - before; got != 0 {
+		t.Errorf("removing a schema scored %d pairs, want 0", got)
+	}
+	vocab := svc.Snapshot().Repository().Vocabulary()
+	if _, ok := vocab.Index(unique); ok {
+		t.Errorf("retired name %q is still in the served vocabulary", unique)
+	}
+	if _, ok := vocab.Index(kept); !ok {
+		t.Errorf("live name %q left the served vocabulary", kept)
+	}
+
+	distinct := map[string]bool{}
+	for _, pe := range sc.Personal.Elements() {
+		distinct[pe.Name] = true
+	}
+	before = pairs()
+	if err := svc.Update(func(s *xmlschema.Snapshot) (*xmlschema.Snapshot, error) {
+		return s.Add(schemaWith("newcomer", fresh))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pairs()-before, int64(len(distinct)); got != want {
+		t.Errorf("adding a schema with one new name scored %d pairs, want %d (one per distinct personal name)", got, want)
+	}
+
+	warm, err := svc.Problem(sc.Personal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := matching.NewProblem(sc.Personal, svc.Snapshot().Repository(), svc.matchCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range svc.Snapshot().Repository().Schemas() {
+		for pid := 0; pid < sc.Personal.Len(); pid++ {
+			for rid := 0; rid < s.Len(); rid++ {
+				if w, c := warm.NameCost(s, pid, rid), cold.NameCost(s, pid, rid); w != c {
+					t.Fatalf("%s: NameCost(%d, %d) = %v after the updates, want %v as built fresh", s.Name, pid, rid, w, c)
+				}
+			}
+		}
+	}
 }
