@@ -64,8 +64,9 @@ store-prop:
 
 # Short native-fuzzing smoke on the registry parser, the durable store
 # loader, the similarity kernels, the search kernel (every matcher
-# family against its frozen reference) and the vocabulary-indexed cost
-# tables (against per-cell scoring): five seconds each is enough to
+# family against its frozen reference), the vocabulary-indexed cost
+# tables (against per-cell scoring) and the streaming XML decoders
+# (against the reflection decoder): five seconds each is enough to
 # catch grammar, framing and parity regressions (the full corpus lives in the fuzz cache of
 # whoever runs longer sessions).
 fuzz-smoke:
@@ -74,6 +75,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelParity' -fuzztime 5s ./internal/similarity
 	$(GO) test -run '^$$' -fuzz 'FuzzSearchKernelParity' -fuzztime 5s ./internal/matchers
 	$(GO) test -run '^$$' -fuzz 'FuzzVocabTables' -fuzztime 5s ./internal/matching
+	$(GO) test -run '^$$' -fuzz 'FuzzReadRepository' -fuzztime 5s ./internal/xmlschema
+	$(GO) test -run '^$$' -fuzz 'FuzzReadSchema' -fuzztime 5s ./internal/xmlschema
 
 # Serving-layer smoke: the multi-tenant load driver on a tiny corpus,
 # including the batched-vs-sequential throughput comparison.
@@ -159,14 +162,15 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineBuildAndMatch|BenchmarkMetric|BenchmarkKernel' -benchmem .
 
 # Perf-harness smoke: run the engine and every figure benchmark — plus the
-# incremental-vs-rebuild index maintenance benchmark and the 1-vs-4
-# shard scatter-gather comparison — for a single iteration so harness
-# rot (broken fixtures, diverged answer sets) is caught by the gate
-# without paying full benchmark time.
+# incremental-vs-rebuild index maintenance benchmark, the 1-vs-4
+# shard scatter-gather comparison and the repository XML decoders —
+# for a single iteration so harness rot (broken fixtures, diverged
+# answer sets) is caught by the gate without paying full benchmark
+# time.
 bench-smoke:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkEngineBuildAndMatch|BenchmarkFig|BenchmarkIndexIncrementalVsRebuild|BenchmarkShardedScatterGather|BenchmarkCandidateIndex|BenchmarkKernel' \
-		-benchtime 1x .
+		-bench 'BenchmarkEngineBuildAndMatch|BenchmarkFig|BenchmarkIndexIncrementalVsRebuild|BenchmarkShardedScatterGather|BenchmarkCandidateIndex|BenchmarkKernel|BenchmarkReadRepository' \
+		-benchtime 1x -benchmem . ./internal/xmlschema
 
 # Record the perf trajectory: run the benchmark suite plus a short
 # matchload replay and write the parsed results to the next free

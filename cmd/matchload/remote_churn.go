@@ -2,10 +2,10 @@
 // the wire replay is in flight. The churner keeps a local mirror of
 // every tenant's repository, applies the add → replace → remove cycle
 // to the mirror, and ships each step as one full-repository PUT
-// (Client.UpdateTenant) — the server's replaceAll diffing turns it
-// back into the minimal incremental update, which is exactly the
-// production shape: the caller owns the desired state, the daemon owns
-// the delta.
+// (Client.UpdateTenant) — the server's replaceAll diffing keeps every
+// schema whose content is unchanged and so turns the PUT back into the
+// minimal incremental update, which is exactly the production shape:
+// the caller owns the desired state, the daemon owns the delta.
 
 package main
 

@@ -33,6 +33,19 @@
 //	                          {"name": "title", "type": "string"}]}]}},
 //	 "delta": 0.3, "matcher": "beam:8", "limit": 10}
 //
+// The admin routes take a repository XML document (the
+// xmlschema.WriteRepository format). POST registers a new tenant. PUT
+// ships the tenant's whole desired repository and the handler turns it
+// into the smallest update: schemas absent from the body are removed,
+// new names are added, and a schema of an existing name is replaced
+// only when its tree differs from the served one (xmlschema.Equal:
+// names, types, child order). Unchanged schemas keep their served
+// instance, so index maintenance, session rebase and the durable
+// append cost what the body changed, not the repository's size. A PUT
+// equal to the served repository is a no-op: 200, the same version,
+// nothing appended to the store. Both routes answer 413 too_large when
+// the body exceeds Config.MaxBodyBytes.
+//
 // Requests carrying structurally identical personal schemas are
 // interned to one *xmlschema.Schema instance, so repeated wire queries
 // hit the service's per-personal session cache (cost tables, baseline

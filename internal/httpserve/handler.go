@@ -545,7 +545,9 @@ func (h *Handler) handleAdminRegister(w http.ResponseWriter, r *http.Request) {
 // handleAdminUpdate serves PUT /admin/v1/tenants/{tenant}: atomically
 // replace the tenant's repository with the body via UpdateTenant —
 // requests admitted before the swap finish on the old snapshot,
-// requests admitted after see the new one.
+// requests admitted after see the new one. Only schemas whose content
+// differs are replaced (see replaceAll); a body equal to the served
+// repository answers 200 with the unchanged version.
 func (h *Handler) handleAdminUpdate(w http.ResponseWriter, r *http.Request) {
 	if !h.authorizeAdmin(w, r) {
 		return
@@ -575,9 +577,14 @@ func (h *Handler) handleAdminUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 // replaceAll derives the snapshot holding exactly repo's schemas from
-// cur: removals, replacements, and additions in one pass each, so
-// unchanged schemas keep their identity (and the incremental index
-// maintenance patches only what actually changed).
+// cur: removals, replacements, and additions in one pass each. A
+// decoded schema is never pointer-identical to a served one, so a
+// schema whose tree equals the served one (xmlschema.Equal: names,
+// types, child order) keeps the served *Schema; only schemas that
+// differ enter Replace. The diff of the update then lists exactly the
+// schemas the body changed, and index maintenance, session rebase and
+// the durable append touch only those. A body equal to the served
+// repository returns cur itself: the update is a no-op.
 func replaceAll(cur *xmlschema.Snapshot, repo *xmlschema.Repository) (*xmlschema.Snapshot, error) {
 	next := cur
 	var gone []string
@@ -594,10 +601,11 @@ func replaceAll(cur *xmlschema.Snapshot, repo *xmlschema.Repository) (*xmlschema
 	}
 	var adds, reps []*xmlschema.Schema
 	for _, s := range repo.Schemas() {
-		if cur.Schema(s.Name) != nil {
-			reps = append(reps, s)
-		} else {
+		switch old := cur.Schema(s.Name); {
+		case old == nil:
 			adds = append(adds, s)
+		case !xmlschema.Equal(old.Root(), s.Root()):
+			reps = append(reps, s)
 		}
 	}
 	if len(reps) > 0 {

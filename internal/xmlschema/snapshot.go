@@ -194,10 +194,14 @@ type SchemaChange struct {
 }
 
 // Diff describes how one snapshot differs from another, schema by
-// schema. Unchanged schemas (pointer-identical in both snapshots) never
-// appear; a schema whose name exists in both but whose pointer differs
-// is Replaced. Diffs drive incremental maintenance: index and cost
-// table updates touch exactly the schemas listed here.
+// schema. It compares pointers, not content: a schema held by the same
+// *Schema in both snapshots never appears, and a name held by
+// different *Schema values is Replaced even when the two trees are
+// equal. Diffs drive incremental maintenance — index and cost table
+// updates touch exactly the schemas listed here — so a mutation that
+// wants a small diff must keep the current *Schema of every schema it
+// does not change (the HTTP admin PUT keeps every schema whose tree is
+// Equal to the served one).
 type Diff struct {
 	// From and To are the versions the diff leads between.
 	From, To uint64

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/xmlschema"
 )
 
 // tracedCtx mints a fresh trace and returns a context carrying its
@@ -204,4 +205,50 @@ func TestTraceDrainNoLeakedSpans(t *testing.T) {
 			t.Errorf("trace %s: %d request spans for a single request", td.ID, names["request"])
 		}
 	}
+}
+
+// TestTraceUpdateCarry: the update_carry span reports the diff an
+// update carried — added, removed and replaced schema counts — so a
+// trace shows how much a live update really changed.
+func TestTraceUpdateCarry(t *testing.T) {
+	sc := testScenario(t, 43, 12)
+	svc, err := NewService(sc.Repo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := sc.Repo.Schemas()
+	ctx, tr := tracedCtx("trace-update")
+	err = svc.UpdateContext(ctx, func(snap *xmlschema.Snapshot) (*xmlschema.Snapshot, error) {
+		next, err := mutateReplaceWithClone(names[0].Name, names[1].Name)(snap)
+		if err != nil {
+			return nil, err
+		}
+		if next, err = next.Remove(names[2].Name); err != nil {
+			return nil, err
+		}
+		add, err := names[3].CloneAs("carryadd")
+		if err != nil {
+			return nil, err
+		}
+		return next.Add(add)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	td := exportClosed(t, tr)
+	want := map[string]any{"added": int64(1), "removed": int64(1), "replaced": int64(1)}
+	for _, sp := range td.Spans {
+		if sp.Name != "update_carry" {
+			continue
+		}
+		got := map[string]any{}
+		for _, a := range sp.Attrs {
+			got[a.Key] = a.Value
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("update_carry attrs %v, want %v", got, want)
+		}
+		return
+	}
+	t.Fatalf("no update_carry span in %v", countSpans(td))
 }

@@ -73,6 +73,7 @@ func (s *Service) UpdateContext(ctx context.Context, mutate func(*xmlschema.Snap
 	_, carrySpan := obs.StartSpan(ctx, "update_carry")
 	carrySpan.SetInt("added", int64(len(diff.Added)))
 	carrySpan.SetInt("removed", int64(len(diff.Removed)))
+	carrySpan.SetInt("replaced", int64(len(diff.Replaced)))
 
 	// Derive the new generation's index incrementally when the old one
 	// is built, consuming the state's build-once so a later Index()
