@@ -162,6 +162,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineBuildAndMatch|BenchmarkMetric|BenchmarkKernel' -benchmem .
 
 # Perf-harness smoke: run the engine and every figure benchmark — plus the
+# four matcher-family benchmarks (each reports candidates/op), the
 # incremental-vs-rebuild index maintenance benchmark, the 1-vs-4
 # shard scatter-gather comparison and the repository XML decoders —
 # for a single iteration so harness rot (broken fixtures, diverged
@@ -169,7 +170,7 @@ bench:
 # time.
 bench-smoke:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkEngineBuildAndMatch|BenchmarkFig|BenchmarkIndexIncrementalVsRebuild|BenchmarkShardedScatterGather|BenchmarkCandidateIndex|BenchmarkKernel|BenchmarkReadRepository' \
+		-bench 'BenchmarkEngineBuildAndMatch|BenchmarkFig|BenchmarkMatcher|BenchmarkIndexIncrementalVsRebuild|BenchmarkShardedScatterGather|BenchmarkCandidateIndex|BenchmarkKernel|BenchmarkReadRepository' \
 		-benchtime 1x -benchmem . ./internal/xmlschema
 
 # Record the perf trajectory: run the benchmark suite plus a short

@@ -178,14 +178,25 @@ func BenchmarkFig13SubIncrement(b *testing.B) {
 // efficiency/effectiveness trade-off)
 // ---------------------------------------------------------------------------
 
-func BenchmarkMatcherExhaustive(b *testing.B) {
-	fixture(b)
+// benchMatcher times one matcher family on the figure fixture at δ 0.45
+// and reports the candidates each search examines, the work the
+// search's bound and pruning leave.
+func benchMatcher(b *testing.B, m matching.StatsMatcher) {
+	b.Helper()
+	var st matching.SearchStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (matching.Exhaustive{}).Match(fix.problem, 0.45); err != nil {
+		var err error
+		if _, st, err = m.MatchStatsContext(context.Background(), fix.problem, 0.45); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(st.Candidates), "candidates/op")
+}
+
+func BenchmarkMatcherExhaustive(b *testing.B) {
+	fixture(b)
+	benchMatcher(b, matching.Exhaustive{})
 }
 
 func BenchmarkMatcherBeam32(b *testing.B) {
@@ -194,12 +205,7 @@ func BenchmarkMatcherBeam32(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bm.Match(fix.problem, 0.45); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchMatcher(b, bm)
 }
 
 func BenchmarkMatcherTopkMargin(b *testing.B) {
@@ -208,12 +214,7 @@ func BenchmarkMatcherTopkMargin(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tk.Match(fix.problem, 0.45); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchMatcher(b, tk)
 }
 
 func BenchmarkMatcherClustered(b *testing.B) {
@@ -226,12 +227,7 @@ func BenchmarkMatcherClustered(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cm.Match(fix.problem, 0.45); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchMatcher(b, cm)
 }
 
 func BenchmarkClusteredIndexBuild(b *testing.B) {

@@ -58,7 +58,8 @@ func (b *Matcher) MatchContext(ctx context.Context, p *matching.Problem, delta f
 
 // MatchStatsContext implements matching.StatsMatcher. Candidates counts
 // the partial-state expansions examined, Pruned the expansions cut by
-// the threshold, Yielded the complete mappings kept.
+// the threshold, Yielded the complete mappings kept; a schema
+// Problem.SkipSchema passes over counts nothing.
 func (b *Matcher) MatchStatsContext(ctx context.Context, p *matching.Problem, delta float64) (*matching.AnswerSet, matching.SearchStats, error) {
 	var answers []matching.Answer
 	var st matching.SearchStats
@@ -68,9 +69,12 @@ func (b *Matcher) MatchStatsContext(ctx context.Context, p *matching.Problem, de
 		if done != nil && ctx.Err() != nil {
 			return nil, st, ctx.Err()
 		}
-		if p.CandidateSkip(s.Name, delta) {
-			// Provably answer-free within delta: the unfiltered beam
-			// would prune every frontier entry of this schema anyway.
+		if p.SkipSchema(s, delta) {
+			// Provably answer-free within delta: every frontier of this
+			// schema would die before its last level. Beam takes only
+			// this skip, not the kernel's bound cut: cutting states
+			// inside a schema would free frontier slots and change
+			// which states survive.
 			continue
 		}
 		if err := b.matchSchema(ctx, p, s, delta, &sel, &answers, &st); err != nil {

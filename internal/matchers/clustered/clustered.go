@@ -248,29 +248,29 @@ func (c *Matcher) TopClusters() int { return c.topClusters }
 // SelectedClusters returns, for one personal element name, the indices
 // of the topClusters clusters whose medoid names are most similar.
 func (c *Matcher) SelectedClusters(name string) []int {
-	type scored struct {
-		cluster int
-		sim     float64
+	sess := engine.NewRowSession(c.scorer)
+	defer sess.Close()
+	return c.selectClusters(sess, name, make([]float64, len(c.index.medoidNames)))
+}
+
+// selectClusters is SelectedClusters through an open row session: one
+// ScoreRow of name against every medoid into sims, then the clusters by
+// descending similarity, ties by ascending cluster index.
+func (c *Matcher) selectClusters(sess engine.RowSession, name string, sims []float64) []int {
+	sess.ScoreRow(name, c.index.medoidNames, sims)
+	order := make([]int, len(sims))
+	for i := range order {
+		order[i] = i
 	}
-	all := make([]scored, len(c.index.medoidNames))
-	for i, mn := range c.index.medoidNames {
-		all[i] = scored{cluster: i, sim: c.scorer.Score(name, mn)}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].sim != all[j].sim {
-			return all[i].sim > all[j].sim
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		if sims[a] != sims[b] {
+			return sims[a] > sims[b]
 		}
-		return all[i].cluster < all[j].cluster
+		return a < b
 	})
-	n := c.topClusters
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].cluster
-	}
-	return out
+	n := min(c.topClusters, len(order))
+	return order[:n:n]
 }
 
 // Match implements matching.Matcher: exhaustive enumeration restricted
@@ -292,17 +292,24 @@ func (c *Matcher) MatchStatsContext(ctx context.Context, p *matching.Problem, de
 	if p.Repo != c.index.repo {
 		return nil, st, fmt.Errorf("clustered: index built for a different repository")
 	}
-	// Per personal element: the set of allowed cluster indices.
-	m := p.M()
-	allowedClusters := make([]map[int]bool, m)
+	// Per personal element: the allowed clusters, selected once per
+	// distinct name through one row session.
+	allowedClusters := make([][]bool, p.M())
+	byName := make(map[string][]bool, p.M())
+	sess := engine.NewRowSession(c.scorer)
+	sims := make([]float64, len(c.index.medoidNames))
 	for _, pe := range p.Personal.Elements() {
-		sel := c.SelectedClusters(pe.Name)
-		set := make(map[int]bool, len(sel))
-		for _, cl := range sel {
-			set[cl] = true
+		set, ok := byName[pe.Name]
+		if !ok {
+			set = make([]bool, len(sims))
+			for _, cl := range c.selectClusters(sess, pe.Name, sims) {
+				set[cl] = true
+			}
+			byName[pe.Name] = set
 		}
 		allowedClusters[pe.ID()] = set
 	}
+	sess.Close()
 	var answers []matching.Answer
 	for _, s := range p.Repo.Schemas() {
 		schema := s

@@ -1,8 +1,12 @@
 package clustered
 
 import (
+	"math"
+	"slices"
+	"sort"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/xmlschema"
 )
 
@@ -126,5 +130,71 @@ func TestSelectedClustersDeterministicOrder(t *testing.T) {
 	// The customer cluster must rank first for a customer query.
 	if a[0] != ix.ClusterOfName("customer") {
 		t.Errorf("best cluster for 'customer' = %d, want %d", a[0], ix.ClusterOfName("customer"))
+	}
+}
+
+// refSelect is the per-pair selection the row session replaced: one
+// Score call per medoid, sorted by descending similarity, ties by
+// ascending cluster index.
+func refSelect(c *Matcher, name string) []int {
+	type scored struct {
+		cluster int
+		sim     float64
+	}
+	all := make([]scored, len(c.index.medoidNames))
+	for i, mn := range c.index.medoidNames {
+		all[i] = scored{cluster: i, sim: c.scorer.Score(name, mn)}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].sim != all[j].sim {
+			return all[i].sim > all[j].sim
+		}
+		return all[i].cluster < all[j].cluster
+	})
+	out := make([]int, min(c.topClusters, len(all)))
+	for i := range out {
+		out[i] = all[i].cluster
+	}
+	return out
+}
+
+// TestSelectionParity pins cluster selection through one row session
+// to per-pair Score: the session's similarities are bit-identical, and
+// the selections (order included) equal the per-pair reference, both
+// from SelectedClusters and from one session reused across names as
+// MatchStatsContext does. Repository names and medoids themselves are
+// queried too, so exact ties (similarity 1 and equal rows) occur.
+func TestSelectionParity(t *testing.T) {
+	sc, snap := applyScenario(t, 9, 60)
+	ix, err := BuildIndex(snap.Repository(), IndexConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := append([]string{"", "zzz"}, ix.names...)
+	for _, e := range sc.Personal.Elements() {
+		names = append(names, e.Name)
+	}
+	for _, top := range []int{1, 3, ix.K()} {
+		m, err := New(ix, top, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := engine.NewRowSession(m.scorer)
+		sims := make([]float64, ix.K())
+		for _, name := range names {
+			want := refSelect(m, name)
+			if got := m.SelectedClusters(name); !slices.Equal(got, want) {
+				t.Fatalf("top %d %q: SelectedClusters %v, per-pair %v", top, name, got, want)
+			}
+			if got := m.selectClusters(sess, name, sims); !slices.Equal(got, want) {
+				t.Fatalf("top %d %q: shared session %v, per-pair %v", top, name, got, want)
+			}
+			for i, mn := range ix.medoidNames {
+				if s := m.scorer.Score(name, mn); math.Float64bits(sims[i]) != math.Float64bits(s) {
+					t.Fatalf("%q vs medoid %q: session %v, Score %v", name, mn, sims[i], s)
+				}
+			}
+		}
+		sess.Close()
 	}
 }

@@ -43,9 +43,9 @@ type CandidateBounder interface {
 // per-schema cost lower-bound table (lb[pi*n+rid] = max(0, 1 − bound),
 // the exact values the BoundRow path would derive) together with the
 // sum over personal elements of the per-row minimum. With it, a schema
-// the filter skips costs one map lookup per build instead of an O(m·n)
-// scan — the bound work amortizes across every problem build sharing
-// the prepared bounder. The returned slice is owned by the bounder;
+// the filter skips costs one map lookup and a table copy per build
+// instead of bounding every pair — the bound work amortizes across every
+// problem build sharing the prepared bounder. The returned slice is owned by the bounder;
 // callers must not mutate it.
 type CandidateTableBounder interface {
 	CandidateBounder

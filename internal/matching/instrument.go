@@ -8,13 +8,17 @@ import (
 
 // SearchStats quantifies the work one enumeration performed — the
 // efficiency side of the paper's efficiency/effectiveness trade-off.
+// A schema Problem.SkipSchema passes over counts nothing in any field.
 type SearchStats struct {
 	// Candidates is the number of (personal element, repository
 	// element) assignments examined.
 	Candidates int
-	// Pruned counts branches cut by the admissible threshold prune.
+	// Pruned counts examined assignments cut: by the threshold prune
+	// (with topk's margin), or by the table's bound (see "Search
+	// kernel" in the package doc).
 	Pruned int
-	// Yielded counts complete mappings produced.
+	// Yielded counts complete mappings produced. The bound never
+	// changes it.
 	Yielded int
 }
 

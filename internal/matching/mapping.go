@@ -35,6 +35,15 @@
 // indirection to the innermost loop, which dominates warm requests on
 // large repositories, while the fill costs one pass per build.
 //
+// Every table ends with its bound, m+1 floats carved from the same
+// allocation: rest[pid] = Σ_{j ≥ pid} NameWeight·min_rid table[j][rid]/m,
+// summed from j = m-1 down, and rest[m] = 0. The unfiltered fill tracks
+// each row's minimum while it copies. Rounding is monotone, so each term
+// is exactly the least NameCost of its row. A filtered table takes its
+// bound from its final entries, where a pruned entry's lower bound keeps
+// the bound admissible. Rebase carries the bound with the table, and
+// SchemaView.Rest exposes it.
+//
 // # Search kernel
 //
 // Every schema carries a flat pre-order layout (xmlschema.Schema.Depths
@@ -47,18 +56,40 @@
 // view. A child's candidates are the range (parentImage,
 // End[parentImage]), jumping to End[rid] past subtrees deeper than the
 // stretch. The kernel returns exactly what the pointer-walking search it
-// replaced did — answers, order, bit-identical scores, SearchStats —
-// pinned by a frozen copy (internal/matchers/searchparity_test.go):
+// replaced did — answers, order, bit-identical scores, Yielded — pinned
+// by a frozen copy (internal/matchers/searchparity_test.go), and its
+// Candidates and Pruned equal that copy's with the bound below added:
 //
 //   - Only the depth test skips a subtree; a used, disallowed or pruned
 //     candidate still has its descendants visited.
 //   - Checks run in the order: depth, used, allowed, Candidates++ and the
-//     cancellation poll, cost, prune (cost + margin·remaining > δ+ThresholdEps).
+//     cancellation poll, cost, prune (cost + margin·remaining > δ+ThresholdEps,
+//     or the bound cut).
 //   - A name cost is NameWeight·row[rid]/m in that order (NameWeight/m
 //     precomputed rounds differently); costs accumulate as
 //     (cost + name) + edge.
 //   - NewAnswerSet orders tied scores by Key() string order: "s:10,…"
 //     before "s:9,…", schema "a-b" before "a".
+//
+// The kernel also skips and cuts on the table's bound. Edge costs are ≥ 0
+// and a name cost is never below its row's minimum, so no completion of
+// a partial mapping at cost c scores below c + rest[pid+1]:
+//
+//   - Skip: Problem.SkipSchema reports a schema whose rest[0] exceeds
+//     δ + ThresholdEps + BoundSlack (or that the candidate filter proved
+//     answer-free). The enumerator returns empty SearchStats for it before
+//     building a view or allocating; ParallelExhaustive drops it in its
+//     feeder, so it never crosses the job channel.
+//   - Cut: the enumerator ORs c + rest[pid+1] > δ + ThresholdEps +
+//     BoundSlack into its margin prune. BoundSlack (1e-9) absorbs the
+//     bound's different summation order for an answer that scores exactly
+//     δ + ThresholdEps.
+//
+// Neither removes an answer, so exhaustive, parallel, clustered, topk,
+// sharded search and the update path keep their answers, order, scores
+// and Yielded bit for bit; only Candidates and Pruned fall. Beam takes the
+// skip only: cutting states inside a schema would free frontier slots
+// and change which states survive, and so beam's answers.
 package matching
 
 import (
@@ -180,6 +211,14 @@ func (s *AnswerSet) All() []Answer { return s.answers }
 // matchers prune with it and the answer-set prefixes cut with it, so a
 // score a rounding step above δ is inside A(δ) for both.
 const ThresholdEps = 1e-12
+
+// BoundSlack is the extra slack of the search's lower-bound cut: a
+// branch is cut when cost + (name-cost bound of the elements still
+// unassigned) > δ + ThresholdEps + BoundSlack. The bound sums the same
+// contributions as a complete score but in another order, so for an
+// answer whose score is exactly δ + ThresholdEps it may round a few
+// ulps above the score; BoundSlack absorbs that, and nothing else.
+const BoundSlack = 1e-9
 
 // CountAt returns |A(δ)|: the number of answers with score ≤ delta +
 // ThresholdEps.

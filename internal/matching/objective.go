@@ -97,8 +97,10 @@ type Problem struct {
 	Repo     *xmlschema.Repository
 
 	cfg Config
-	// nameCost[schemaName][p*stride+r] = 1 - sim(name_p, name_r),
-	// p = personal element ID, r = repository element ID.
+	// nameCost[schemaName][p*n+r] = 1 - sim(name_p, name_r),
+	// p = personal element ID, r = repository element ID, n = schema
+	// size. The m·n entries are followed by the table's m+1 bound
+	// entries rest[0..m] (see fillBound).
 	nameCost map[string][]float64
 	// edgeCost[d] = EdgeCost(d), the weighted structural contribution
 	// of stretching one personal edge across d repository levels
@@ -327,7 +329,8 @@ func (p *Problem) scoreNames(names []string, out []float64) {
 }
 
 // fillTables builds the tables of the schemas at positions sel from c:
-// entry (pid, rid) is the cost of pid's name against rid's name.
+// entry (pid, rid) is the cost of pid's name against rid's name. The
+// copy tracks each row's minimum for the table's bound.
 func (p *Problem) fillTables(schemas []*xmlschema.Schema, sel []int, c vocabCosts) {
 	nv := c.vocab.Len()
 	tables := make([][]float64, len(sel))
@@ -335,19 +338,60 @@ func (p *Problem) fillTables(schemas []*xmlschema.Schema, sel []int, c vocabCost
 		for i := lo; i < hi; i++ {
 			ids := c.vocab.IDs[sel[i]]
 			n := len(ids)
-			table := make([]float64, p.m*n)
+			table := p.newTable(n)
+			rest := table[p.m*n:]
 			for pid, q := range p.prow {
 				src, dst := c.cols[q*nv:(q+1)*nv], table[pid*n:(pid+1)*n]
+				low := noCost
 				for rid, v := range ids {
-					dst[rid] = src[v]
+					x := src[v]
+					dst[rid] = x
+					low = min(low, x)
 				}
+				rest[pid] = low
 			}
+			p.fillBound(rest)
 			tables[i] = table
 		}
 	})
 	for i, si := range sel {
 		p.nameCost[schemas[si].Name] = tables[i]
 	}
+}
+
+// noCost starts a row-minimum scan: it is above every table entry
+// (costs lie in [0, 1]), and an empty row keeps it.
+const noCost = 2.0
+
+// newTable allocates the name-cost table of an n-element schema: the
+// m·n entries and, in the same allocation, the m+1 bound entries.
+func (p *Problem) newTable(n int) []float64 { return make([]float64, p.m*n+p.m+1) }
+
+// fillBound turns rest[pid], the raw minimum of table row pid, into the
+// table's admissible bound: rest[pid] = Σ_{j ≥ pid} NameWeight·min_j/m
+// and rest[m] = 0, summed from the last element back. It lower-bounds
+// the name cost that personal elements pid..m-1 add to any mapping into
+// the schema. Rounding is monotone, so NameWeight·min_j/m is exactly the
+// least NameCost of row j.
+func (p *Problem) fillBound(rest []float64) {
+	nw, fm := p.cfg.NameWeight, float64(p.m)
+	rest[p.m] = 0
+	for j := p.m - 1; j >= 0; j-- {
+		rest[j] = rest[j+1] + nw*rest[j]/fm
+	}
+}
+
+// boundRows fills the bound of a table whose n-entry rows are final.
+func (p *Problem) boundRows(table []float64, n int) {
+	rest := table[p.m*n:]
+	for pid := 0; pid < p.m; pid++ {
+		low := noCost
+		for _, x := range table[pid*n : (pid+1)*n] {
+			low = min(low, x)
+		}
+		rest[pid] = low
+	}
+	p.fillBound(rest)
 }
 
 // forBlocks splits [0, n) into contiguous blocks, a few per worker of a
@@ -472,9 +516,8 @@ func (tb *tableBuilder) build(s *xmlschema.Schema, tw *tableWorker) (table []flo
 	if tb.tables != nil {
 		// Fast path: the bounder precomputed this schema's lb table and
 		// row-min sum (bit-identical to what the loop below derives), so
-		// a skipped schema costs one lookup — no names, no allocation.
-		// The shared slice is only copied when kept entries must be
-		// overwritten with scores.
+		// a skipped schema costs one lookup and one copy, and no names
+		// are resolved or scored for it.
 		lb, sum, ok := tb.tables.SchemaLB(s)
 		if !ok {
 			return nil, schemaCand{}, false
@@ -484,7 +527,7 @@ func (tb *tableBuilder) build(s *xmlschema.Schema, tw *tableWorker) (table []flo
 	}
 	p := tb.p
 	n := s.Len()
-	lb := make([]float64, p.m*n)
+	lb := p.newTable(n)
 	if cap(tw.row) < n {
 		tw.row = make([]float64, n)
 	}
@@ -521,22 +564,26 @@ func namesOf(s *xmlschema.Schema) []string {
 }
 
 // buildFromLB finishes a filtered table build from the schema's cost
-// lower-bound table and row-min sum: decide the schema skip, then score
-// the kept pairs. shared marks lb as bounder-owned; it is copied before
-// any entry is overwritten (the skip path returns it as-is — the table
-// is never mutated afterwards).
+// lower-bound table and row-min sum: decide the schema skip, score the
+// kept pairs, and fill the table's bound from the final entries (a
+// pruned entry holds its lower bound, so the bound stays admissible).
+// shared marks lb as bounder-owned, m·n entries long; it is copied
+// into a table of its own.
 func (tb *tableBuilder) buildFromLB(s *xmlschema.Schema, lb []float64, sum float64, shared bool, tw *tableWorker) ([]float64, schemaCand) {
 	p := tb.p
 	n := s.Len()
+	if shared {
+		table := p.newTable(n)
+		copy(table, lb)
+		lb = table
+	}
 	scale := p.cfg.NameWeight / float64(p.m)
 	budget := p.candDelta + candEps
 	if n == 0 || scale*sum > budget {
+		p.boundRows(lb, n)
 		return lb, schemaCand{skip: true, pruned: p.m * n}
 	}
 	names := namesOf(s)
-	if shared {
-		lb = append([]float64(nil), lb...)
-	}
 	if cap(tw.keep) < n {
 		tw.keep = make([]bool, n)
 	}
@@ -567,6 +614,7 @@ func (tb *tableBuilder) buildFromLB(s *xmlschema.Schema, lb []float64, sum float
 			}
 		}
 	}
+	p.boundRows(lb, n)
 	return lb, schemaCand{pruned: pruned}
 }
 

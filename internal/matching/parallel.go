@@ -95,6 +95,9 @@ func (p ParallelExhaustive) MatchStatsContext(ctx context.Context, prob *Problem
 	}
 feed:
 	for _, s := range schemas {
+		if prob.SkipSchema(s, delta) {
+			continue // answer-free: not worth a channel send
+		}
 		select {
 		case jobs <- s:
 		case <-done:

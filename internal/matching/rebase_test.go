@@ -107,8 +107,9 @@ func TestProblemRebaseReplaceAndRemove(t *testing.T) {
 	if _, ok := np.nameCost["s2"]; ok {
 		t.Error("removed schema's cost table survived Rebase")
 	}
-	if len(np.nameCost["s1"]) != p.m*s1b.Len() {
-		t.Errorf("replaced schema table has %d entries, want %d", len(np.nameCost["s1"]), p.m*s1b.Len())
+	// m·n costs, then the m+1 entries of the table's bound.
+	if want := p.m*s1b.Len() + p.m + 1; len(np.nameCost["s1"]) != want {
+		t.Errorf("replaced schema table has %d entries, want %d", len(np.nameCost["s1"]), want)
 	}
 	freshEqual(t, np, next.Repository())
 

@@ -8,24 +8,30 @@ import (
 )
 
 // SchemaView is one repository schema flattened for search loops: its
-// pre-order layout, its name-cost table rows and the problem's edge
-// costs, so a loop indexes slices instead of looking a table up by
-// schema name or walking the tree. Build one with Problem.View.
+// pre-order layout, its name-cost table rows and bound, and the
+// problem's edge costs, so a loop indexes slices instead of looking a
+// table up by schema name or walking the tree. Build one with
+// Problem.View.
 type SchemaView struct {
 	// Depth and End are the schema's layout (Schema.Depths and Ends):
 	// the subtree of id is the ID range [id, End[id]). Read-only.
 	Depth, End []int32
 	Stretch    int // MaxDepthStretch
 	table      []float64
+	rest       []float64
 	n          int
 	nw, fm     float64
 	edge       []float64
 }
 
 // View returns the search view of repository schema s.
-func (p *Problem) View(s *xmlschema.Schema) SchemaView {
+func (p *Problem) View(s *xmlschema.Schema) SchemaView { return p.view(s, p.nameCost[s.Name]) }
+
+// view is View over s's table, already looked up.
+func (p *Problem) view(s *xmlschema.Schema, table []float64) SchemaView {
+	n := s.Len()
 	return SchemaView{Depth: s.Depths(), End: s.Ends(), Stretch: p.cfg.MaxDepthStretch,
-		table: p.nameCost[s.Name], n: s.Len(), nw: p.cfg.NameWeight, fm: float64(p.m), edge: p.edgeCost}
+		table: table[:p.m*n], rest: table[p.m*n:], n: n, nw: p.cfg.NameWeight, fm: float64(p.m), edge: p.edgeCost}
 }
 
 // Row returns personal element pid's name-cost table row, indexed by
@@ -38,6 +44,25 @@ func (v *SchemaView) NameCost(row []float64, rid int) float64 { return v.nw * ro
 
 // EdgeCost is Problem.EdgeCost for a stretch 1 ≤ d ≤ Stretch.
 func (v *SchemaView) EdgeCost(d int) float64 { return v.edge[d] }
+
+// Rest returns the table's admissible bound for personal elements
+// pid..m-1 (0 ≤ pid ≤ m): Σ_{j ≥ pid} of the least NameCost of row j,
+// summed from j = m-1 down. Any mapping into the schema adds at least
+// that much for those elements, up to rounding (see BoundSlack).
+func (v *SchemaView) Rest(pid int) float64 { return v.rest[pid] }
+
+// SkipSchema reports whether schema s provably holds no mapping with
+// ∆ ≤ delta: the candidate filter proved it (CandidateSkip), or the
+// table's bound Rest(0) exceeds delta + ThresholdEps + BoundSlack. Every
+// matcher may pass such a schema over without looking at it.
+func (p *Problem) SkipSchema(s *xmlschema.Schema, delta float64) bool {
+	return p.skip(s, p.nameCost[s.Name], delta)
+}
+
+// skip is SkipSchema over s's table, already looked up.
+func (p *Problem) skip(s *xmlschema.Schema, table []float64, delta float64) bool {
+	return p.CandidateSkip(s.Name, delta) || table[p.m*s.Len()] > delta+ThresholdEps+BoundSlack
+}
 
 // EnumerateContext is the instrumented, cancellable enumeration every
 // exhaustive-family matcher runs on. It generates mappings exactly like
@@ -72,12 +97,13 @@ func SearchProjected(ctx context.Context, p *Problem, delta, margin float64) (*A
 }
 
 // enumerate is the one depth-first search kernel (see the package doc
-// for the rules that keep it bit-identical).
+// for the rules that keep it bit-identical). A schema SkipSchema passes
+// over returns empty stats before any view or allocation.
 func enumerate(ctx context.Context, p *Problem, s *xmlschema.Schema, delta, margin float64, allowed func(pid, rid int) bool, yield func(Mapping, float64)) (SearchStats, error) {
-	if p.CandidateSkip(s.Name, delta) {
-		// The candidate filter proved the schema answer-free within
-		// delta before any table entry existed; an unfiltered run would
-		// enumerate and prune its way to the same empty yield set.
+	table := p.nameCost[s.Name]
+	if p.skip(s, table, delta) {
+		// The candidate filter or the bound proved the schema
+		// answer-free within delta.
 		return SearchStats{}, nil
 	}
 	done := ctx.Done() // nil for background contexts: checks compile to two ALU ops
@@ -88,8 +114,8 @@ func enumerate(ctx context.Context, p *Problem, s *xmlschema.Schema, delta, marg
 			return SearchStats{}, err
 		}
 	}
-	e := enumerator{SchemaView: p.View(s), ctx: ctx, done: done, schema: s.Name, parent: p.parent,
-		margin: margin, limit: delta + ThresholdEps, allowed: allowed, yield: yield,
+	e := enumerator{SchemaView: p.view(s, table), ctx: ctx, done: done, schema: s.Name, parent: p.parent,
+		margin: margin, limit: delta + ThresholdEps, bound: delta + ThresholdEps + BoundSlack, allowed: allowed, yield: yield,
 		targets: make([]int, p.m), used: make([]bool, s.Len())}
 	e.assign(0, 0)
 	if e.stopped {
@@ -105,7 +131,8 @@ type enumerator struct {
 	schema  string
 	parent  []int
 	margin  float64
-	limit   float64
+	limit   float64 // delta + ThresholdEps
+	bound   float64 // limit + BoundSlack, the cut of the table's bound
 	allowed func(pid, rid int) bool
 	yield   func(Mapping, float64)
 	targets []int  // targets[pid] = image of personal element pid
@@ -125,7 +152,7 @@ func (e *enumerator) assign(pid int, cost float64) {
 		return
 	}
 	row, depth, end, used := e.Row(pid), e.Depth, e.End, e.used
-	remaining := float64(m - pid - 1)
+	remaining, rest := float64(m-pid-1), e.rest[pid+1]
 	// The personal root may map to any element; a child maps into the
 	// subtree of its parent's image, at most Stretch levels below it.
 	par := e.parent[pid]
@@ -153,7 +180,7 @@ func (e *enumerator) assign(pid int, cost float64) {
 		if par >= 0 {
 			c += e.edge[d-pd]
 		}
-		if c+e.margin*remaining > e.limit {
+		if c+e.margin*remaining > e.limit || c+rest > e.bound {
 			e.st.Pruned++
 			continue
 		}

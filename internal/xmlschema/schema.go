@@ -172,7 +172,6 @@ func NewSchema(name string, root *Element) (*Schema, error) {
 		return nil, ErrReusedRoot
 	}
 	s := &Schema{Name: name, root: root}
-	seen := make(map[*Element]bool)
 	var build func(e, parent *Element) error
 	build = func(e, parent *Element) error {
 		if e == nil {
@@ -181,10 +180,12 @@ func NewSchema(name string, root *Element) (*Schema, error) {
 		if e.Name == "" {
 			return ErrEmptyName
 		}
-		if seen[e] {
+		// byID holds exactly the elements this build has placed, each at
+		// its new ID, so e was reached before (a shared node or a cycle)
+		// exactly when it sits at its own ID there.
+		if e.id < len(s.byID) && s.byID[e.id] == e {
 			return fmt.Errorf("%w: %q", ErrSharedNode, e.Name)
 		}
-		seen[e] = true
 		e.parent = parent
 		e.id = s.count
 		s.count++

@@ -1,6 +1,7 @@
 package xmlschema
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -80,6 +81,39 @@ func TestNewSchemaValidation(t *testing.T) {
 	dag := NewElement("r").Add(shared, NewElement("mid").Add(shared))
 	if _, err := NewSchema("s", dag); err == nil {
 		t.Error("DAG should be rejected")
+	}
+}
+
+// TestNewSchemaSharedNodes pins ErrSharedNode for a node reached twice
+// (DAG) and for cycles, and its absence for an element carried over
+// from another schema, whose stale ID points at a different element of
+// the new build.
+func TestNewSchemaSharedNodes(t *testing.T) {
+	shared := NewElement("shared")
+	dag := NewElement("r").Add(shared, NewElement("mid").Add(shared))
+	if _, err := NewSchema("dag", dag); !errors.Is(err, ErrSharedNode) {
+		t.Errorf("DAG err = %v, want ErrSharedNode", err)
+	}
+	root := NewElement("r")
+	root.Add(NewElement("a").Add(root))
+	if _, err := NewSchema("loop", root); !errors.Is(err, ErrSharedNode) {
+		t.Errorf("cycle through the root err = %v, want ErrSharedNode", err)
+	}
+	a, b := NewElement("a"), NewElement("b")
+	a.Add(b)
+	b.Add(a)
+	if _, err := NewSchema("inner", NewElement("r").Add(a)); !errors.Is(err, ErrSharedNode) {
+		t.Errorf("inner cycle err = %v, want ErrSharedNode", err)
+	}
+
+	old := buildLibrary(t)
+	moved := old.ByID(3) // author: ID 3 in the old schema
+	s, err := NewSchema("new", NewElement("r").Add(NewElement("x"), NewElement("y"), NewElement("z"), moved))
+	if err != nil {
+		t.Fatalf("carried-over element rejected: %v", err)
+	}
+	if moved.ID() != 4 || s.ByID(4) != moved || s.ByID(3).Name != "z" {
+		t.Errorf("carried-over element at ID %d, schema holds %q at 3", moved.ID(), s.ByID(3).Name)
 	}
 }
 
