@@ -78,8 +78,8 @@
 //   - Skip: Problem.SkipSchema reports a schema whose rest[0] exceeds
 //     δ + ThresholdEps + BoundSlack (or that the candidate filter proved
 //     answer-free). The enumerator returns empty SearchStats for it before
-//     building a view or allocating; ParallelExhaustive drops it in its
-//     feeder, so it never crosses the job channel.
+//     building a view or allocating, so a ParallelExhaustive worker that
+//     claims it moves straight on to its next claim.
 //   - Cut: the enumerator ORs c + rest[pid+1] > δ + ThresholdEps +
 //     BoundSlack into its margin prune. BoundSlack (1e-9) absorbs the
 //     bound's different summation order for an answer that scores exactly

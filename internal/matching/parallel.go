@@ -5,8 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-
-	"repro/internal/xmlschema"
+	"sync/atomic"
 )
 
 // ParallelExhaustive is the exhaustive system S1 with the per-schema
@@ -36,10 +35,10 @@ func (p ParallelExhaustive) Match(prob *Problem, delta float64) (*AnswerSet, err
 	return p.MatchContext(context.Background(), prob, delta)
 }
 
-// MatchContext implements Matcher: on cancellation the job feed stops,
-// every worker unwinds its enumeration at the next periodic check, and
-// the call returns ctx.Err() once all workers have exited — no worker
-// goroutine outlives the call.
+// MatchContext implements Matcher: on cancellation no worker claims
+// another schema, every worker unwinds its enumeration at the next
+// periodic check, and the call returns ctx.Err() once all workers have
+// exited — no worker goroutine outlives the call.
 func (p ParallelExhaustive) MatchContext(ctx context.Context, prob *Problem, delta float64) (*AnswerSet, error) {
 	set, _, err := p.MatchStatsContext(ctx, prob, delta)
 	return set, err
@@ -60,8 +59,11 @@ func (p ParallelExhaustive) MatchStatsContext(ctx context.Context, prob *Problem
 		return Exhaustive{}.MatchStatsContext(ctx, prob, delta)
 	}
 
-	jobs := make(chan *xmlschema.Schema)
+	// Workers claim schema indexes from one counter; a schema costs an
+	// atomic add, never a channel handoff, so a worker only parks when
+	// the repository is exhausted.
 	done := ctx.Done()
+	var next atomic.Int64
 	var mu sync.Mutex
 	var answers []Answer
 	var total SearchStats
@@ -70,21 +72,22 @@ func (p ParallelExhaustive) MatchStatsContext(ctx context.Context, prob *Problem
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Collect locally, merge once per schema batch to keep the
+			// Collect locally, merge once per worker to keep the
 			// critical section short.
 			var local []Answer
 			var localStats SearchStats
-			for s := range jobs {
-				st, err := EnumerateContext(ctx, prob, s, delta, nil, func(m Mapping, score float64) {
-					local = append(local, Answer{Mapping: m, Score: score})
-				})
+			yield := func(m Mapping, score float64) {
+				local = append(local, Answer{Mapping: m, Score: score})
+			}
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(schemas) || closed(done) {
+					break
+				}
+				st, err := EnumerateContext(ctx, prob, schemas[i], delta, nil, yield)
 				localStats.Add(st)
 				if err != nil {
-					// Cancelled: drain remaining jobs so the feeder
-					// never blocks, without enumerating them.
-					for range jobs {
-					}
-					break
+					break // cancelled: the others stop at their next claim
 				}
 			}
 			mu.Lock()
@@ -93,21 +96,19 @@ func (p ParallelExhaustive) MatchStatsContext(ctx context.Context, prob *Problem
 			mu.Unlock()
 		}()
 	}
-feed:
-	for _, s := range schemas {
-		if prob.SkipSchema(s, delta) {
-			continue // answer-free: not worth a channel send
-		}
-		select {
-		case jobs <- s:
-		case <-done:
-			break feed
-		}
-	}
-	close(jobs)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, total, err
 	}
 	return NewAnswerSet(answers), total, nil
+}
+
+// closed reports whether done is closed; a nil done never is.
+func closed(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
