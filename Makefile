@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test bench bench-smoke bench-record bench-check bench-verify race shuffle fuzz-smoke load-smoke churn-smoke serve-smoke store-smoke shard-prop cand-prop store-prop
+.PHONY: ci fmt vet build test bench bench-smoke bench-verify race shuffle fuzz-smoke load-smoke churn-smoke serve-smoke store-smoke shard-prop cand-prop store-prop
 
-ci: fmt vet build race shard-prop cand-prop store-prop fuzz-smoke serve-smoke store-smoke bench-check bench-verify
+ci: fmt vet build race shard-prop cand-prop store-prop fuzz-smoke serve-smoke store-smoke bench-verify
 
 # gofmt enforcement: fail (listing the offenders) when any tracked Go
 # file is not gofmt-clean.
@@ -164,23 +164,11 @@ bench:
 # Perf-harness smoke: run the engine and every figure benchmark — plus the
 # four matcher-family benchmarks (each reports candidates/op), the
 # incremental-vs-rebuild index maintenance benchmark, the 1-vs-4
-# shard scatter-gather comparison and the repository XML decoders —
-# for a single iteration so harness rot (broken fixtures, diverged
-# answer sets) is caught by the gate without paying full benchmark
-# time.
+# shard scatter-gather comparison, the served Server.Match path and
+# the repository XML decoders — for a single iteration so harness rot
+# (broken fixtures, diverged answer sets) is caught by the gate without
+# paying full benchmark time.
 bench-smoke:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkEngineBuildAndMatch|BenchmarkFig|BenchmarkMatcher|BenchmarkIndexIncrementalVsRebuild|BenchmarkShardedScatterGather|BenchmarkCandidateIndex|BenchmarkKernel|BenchmarkReadRepository' \
+		-bench 'BenchmarkEngineBuildAndMatch|BenchmarkFig|BenchmarkMatcher|BenchmarkIndexIncrementalVsRebuild|BenchmarkShardedScatterGather|BenchmarkCandidateIndex|BenchmarkKernel|BenchmarkServerMatch|BenchmarkReadRepository' \
 		-benchtime 1x -benchmem . ./internal/xmlschema
-
-# Record the perf trajectory: run the benchmark suite plus a short
-# matchload replay and write the parsed results to the next free
-# BENCH_<n>.json (see cmd/benchrecord).
-bench-record:
-	$(GO) run ./cmd/benchrecord
-
-# Perf regression gate: compare the two most recent BENCH_<n>.json and
-# fail on >50% ns/op regressions. Passes trivially with fewer than two
-# recordings, so `ci` stays green on fresh checkouts.
-bench-check:
-	$(GO) run ./cmd/benchrecord -check

@@ -26,6 +26,7 @@ import (
 	"repro/internal/similarity"
 	"repro/internal/synth"
 	"repro/internal/xmlschema"
+	"repro/match"
 )
 
 // The shared experiment fixture: built once, reused by every figure
@@ -320,6 +321,56 @@ func BenchmarkShardedScatterGather(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkServerMatch times one warm exhaustive request through
+// match.Server — admission, the tenant lookup, the session's cached
+// cost tables and the search — on the Figure-8/9 fixture served as one
+// tenant. The serial case shows the per-request cost of the serving
+// layer over the search; the parallel one runs GOMAXPROCS callers at
+// once against the server's default execution slots.
+func BenchmarkServerMatch(b *testing.B) {
+	fixture(b)
+	srv := match.NewServer()
+	defer srv.Close()
+	if err := srv.AddTenant("fixture", fix.scenario.Repo); err != nil {
+		b.Fatal(err)
+	}
+	req := match.Request{Personal: fix.scenario.Personal, Delta: fix.pl.MaxDelta(), Matcher: "exhaustive"}
+	serve := func() error {
+		res, err := srv.Match(context.Background(), "fixture", req)
+		if err != nil {
+			return err
+		}
+		if res.Set.Len() != fix.pl.S1.Len() {
+			return fmt.Errorf("answer set diverged: %d answers, want %d", res.Set.Len(), fix.pl.S1.Len())
+		}
+		return nil
+	}
+	// The first request builds the tenant and its session, so every
+	// timed request is warm.
+	if err := serve(); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := serve(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if err := serve(); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
 }
 
 // ---------------------------------------------------------------------------

@@ -130,8 +130,8 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) error {
 		adminToken   = fs.String("admin-token", "", "comma-separated admin bearer tokens (empty: admin surface disabled)")
 		tlsCert      = fs.String("tls-cert", "", "TLS certificate file (with -tls-key)")
 		tlsKey       = fs.String("tls-key", "", "TLS key file (with -tls-cert)")
-		workers      = fs.Int("workers", 0, "matching worker pool size (0: GOMAXPROCS)")
-		queue        = fs.Int("queue", 0, "admission queue depth (0: default)")
+		workers      = fs.Int("workers", 0, "request groups run at once, each on its connection's goroutine (0: GOMAXPROCS)")
+		queue        = fs.Int("queue", 0, "admitted request groups that may wait for a run slot; beyond it, 429 (0: 4x workers)")
 		resident     = fs.Int("resident", 0, "max resident tenant services, LRU-evicted beyond it (0: the default, 8)")
 		tenantLimit  = fs.Int("tenant-limit", 0, "per-tenant concurrency bound (0: unbounded)")
 		shards       = fs.Int("shards", 0, "per-tenant scatter-gather shards (0: unsharded)")

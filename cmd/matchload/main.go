@@ -102,8 +102,8 @@ func run(args []string, out io.Writer) error {
 	schemas := fs.Int("schemas", 40, "repository schemas per tenant")
 	requests := fs.Int("requests", 240, "total requests to replay")
 	rate := fs.Float64("rate", 0, "offered request rate per second (0 = one burst)")
-	workers := fs.Int("workers", 0, "server worker pool size (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 0, "server queue depth (0 = 4x workers)")
+	workers := fs.Int("workers", 0, "server request groups run at once (0 = GOMAXPROCS)")
+	queue := fs.Int("queue", 0, "server request groups that may wait for a run slot (0 = 4x workers)")
 	tenantLimit := fs.Int("tenant-limit", 0, "per-tenant in-flight cap (0 = uncapped)")
 	resident := fs.Int("resident", 0, "resident tenant bound (0 = all tenants)")
 	specsFlag := fs.String("matchers", "exhaustive,parallel,beam:16,topk:0.035,clustered",

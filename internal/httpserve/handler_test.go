@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,6 +122,46 @@ func TestMatchWireParity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestClientKeepsConnection: sequential requests from one Client reuse
+// one connection, also when the answers are too many for one
+// unchunked response.
+func TestClientKeepsConnection(t *testing.T) {
+	fleet := testFleet(t, 3, 1, 2, 60)
+	srv := match.NewServer()
+	t.Cleanup(srv.Close)
+	tn := fleet[0]
+	if err := srv.AddTenant(tn.Name, tn.Repo()); err != nil {
+		t.Fatal(err)
+	}
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(New(srv, Config{}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	cl := NewClient(ts.URL, "")
+	defer cl.Close()
+
+	const requests = 40
+	most := 0
+	for i := 0; i < requests; i++ {
+		resp, err := cl.Match(context.Background(), tn.Name, wireRequest(tn.Personals()[i%2], 0.4, "exhaustive"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		most = max(most, len(resp.Answers))
+	}
+	if most < 100 {
+		t.Fatalf("largest response has %d answers; the test needs a chunked one", most)
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("%d requests opened %d connections, want 1", requests, n)
 	}
 }
 

@@ -237,20 +237,25 @@
 // while requests already holding it finish safely, and the
 // next request rebuilds it from the registration.
 //
-// Admission control protects the bounded worker pool: WithQueueDepth
-// bounds the admitted backlog and WithTenantConcurrency caps one
-// tenant's in-flight request groups. Server.Match is the open-loop
-// path — an overloaded submission fails immediately with the typed
-// ErrOverloaded (test with errors.Is) so callers can shed or retry on
-// their own schedule.
+// The server starts no goroutines of its own: every request group runs
+// on the goroutine of the call that submitted it. Admission control
+// bounds that work: WithWorkers sets how many groups run at once,
+// WithQueueDepth how many admitted groups may wait for one of those
+// execution slots, and WithTenantConcurrency caps one tenant's
+// in-flight request groups. Server.Match is the open-loop path — an
+// overloaded submission fails immediately with the typed ErrOverloaded
+// (test with errors.Is) so callers can shed or retry on their own
+// schedule. A caller whose ctx ends while its group waits for a slot
+// gets ctx.Err() at once and gives its place back.
 //
 // MatchBatch is the closed-loop path for callers that already hold
 // many requests. It groups same-tenant, same-personal-schema requests
 // so each group pays one session build, coalesces byte-identical
 // registry queries inside a group into a single search (duplicates
-// share one immutable Result), runs distinct groups in parallel
-// across the pool, and back-pressures against the queue instead of
-// failing fast — a group is rejected with ErrOverloaded only when the
+// share one immutable Result), runs distinct groups in parallel, each
+// on a goroutine of its own, and back-pressures instead of failing
+// fast: a refused group waits for one of the batch's own groups to
+// finish and retries, and is rejected with ErrOverloaded only when the
 // server is saturated by other traffic. Use Match for interactive
 // single queries, MatchBatch whenever several requests exist at once.
 //
@@ -263,8 +268,8 @@
 // Server.Drain(ctx) retires a server without failing admitted work:
 // admission closes first (new submissions are rejected with the typed
 // ErrServerClosed, exactly as after Close), then Drain waits until
-// every admitted request group has completed, and only then tears the
-// worker pool down. The guarantee is zero failed in-flight requests:
+// every admitted request group has completed, and only then closes the
+// server. The guarantee is zero failed in-flight requests:
 // any Match or MatchBatch group that was admitted before Drain began
 // runs to completion on its pinned snapshot — UpdateTenant calls
 // racing the drain either complete or observe the closed server, never

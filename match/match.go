@@ -83,8 +83,8 @@ type Stats struct {
 	// Answers is the total answer count before Limit truncation.
 	Answers int
 	// QueueWait is the time the request spent between Server admission
-	// and execution start. Zero for direct Service calls, which do not
-	// pass through the server queue.
+	// and execution start, waiting for an execution slot. Zero for
+	// direct Service calls, which do not pass through Server admission.
 	QueueWait time.Duration
 	// SessionBuild is the time spent obtaining this request's problem:
 	// session lookup plus — on a cold session — cost-table construction.

@@ -20,7 +20,7 @@ import (
 // errors.Is; the wrapped forms carry the tenant name.
 var (
 	// ErrOverloaded is returned when admission control rejects a
-	// request: the server queue is full or the tenant is at its
+	// request: the server's wait list is full or the tenant is at its
 	// concurrency limit. The request was not run; the caller should
 	// back off and retry.
 	ErrOverloaded = errors.New("match: server overloaded")
@@ -53,22 +53,24 @@ type serverConfig struct {
 // ServerOption configures a Server at construction.
 type ServerOption func(*serverConfig)
 
-// WithWorkers bounds the worker pool executing requests. Values < 1
-// select GOMAXPROCS. The pool is the server's concurrency ceiling:
-// at most this many matcher searches run at once, however many
-// requests are admitted.
+// WithWorkers sets the number of execution slots. Values < 1 select
+// GOMAXPROCS. The slots are the server's concurrency ceiling: at most
+// this many request groups run at once, each on its caller's goroutine,
+// however many requests are admitted.
 func WithWorkers(n int) ServerOption { return func(c *serverConfig) { c.workers = n } }
 
-// WithQueueDepth bounds the backlog of admitted-but-not-yet-running
-// request groups. Submissions beyond it fail fast with ErrOverloaded
-// instead of queueing unboundedly. Values < 1 select 4×workers.
+// WithQueueDepth bounds how many admitted request groups may wait for
+// an execution slot. Submissions beyond it fail fast with
+// ErrOverloaded instead of waiting unboundedly. Values < 1 select
+// 4×workers.
 func WithQueueDepth(n int) ServerOption { return func(c *serverConfig) { c.queueDepth = n } }
 
 // WithTenantConcurrency caps how many request groups one tenant may
-// have in flight (queued or running) at once, so a single hot tenant
-// cannot monopolize the pool; excess submissions for that tenant fail
-// with ErrOverloaded while other tenants proceed. Values < 1 disable
-// the per-tenant cap (the global queue depth still applies).
+// have in flight (waiting or running) at once, so a single hot tenant
+// cannot monopolize the execution slots; excess submissions for that
+// tenant fail with ErrOverloaded while other tenants proceed. Values
+// < 1 disable the per-tenant cap (the global queue depth still
+// applies).
 func WithTenantConcurrency(n int) ServerOption { return func(c *serverConfig) { c.tenantLimit = n } }
 
 // WithTenantShards makes every tenant service built by AddTenant serve
@@ -97,14 +99,20 @@ type Server struct {
 	tenantLimit  int
 	tenantShards int
 	storeFor     func(tenant string) TenantStore
+	// slots holds one token per running request group.
+	slots chan struct{}
 
 	mu       sync.Mutex
 	closed   bool
 	draining bool
 	registry map[string]*tenantReg
 	resident *lru.Map[string, *residentTenant]
-	queue    chan *job
-	wg       sync.WaitGroup
+	// waiting counts admitted groups that hold no slot yet; admission
+	// refuses a group that would take it past queueDepth.
+	waiting int
+	// active tracks admitted groups until they complete; Close waits
+	// on it.
+	active sync.WaitGroup
 
 	accepted   atomic.Int64
 	completed  atomic.Int64
@@ -114,8 +122,8 @@ type Server struct {
 	queueWaitNs    atomic.Int64
 	queueWaitMaxNs atomic.Int64
 	// inflight counts admitted-but-not-completed request groups. It is
-	// incremented under mu before the group is enqueued and decremented
-	// when the group's job finishes, so Drain observing zero under the
+	// incremented under mu at admission and decremented when the
+	// group's job finishes, so Drain observing zero under the
 	// draining flag proves no admitted group is still pending.
 	inflight atomic.Int64
 }
@@ -171,8 +179,9 @@ func (rt *residentTenant) failed() bool {
 	return rt.done && rt.err != nil
 }
 
-// NewServer builds an empty multi-tenant server and starts its worker
-// pool. Callers must Close it to stop the workers.
+// NewServer builds an empty multi-tenant server. It starts no
+// goroutines: every request group runs on the goroutine of the Match
+// or MatchBatch call that submitted it.
 func NewServer(opts ...ServerOption) *Server {
 	cfg := serverConfig{}
 	for _, o := range opts {
@@ -195,28 +204,19 @@ func NewServer(opts ...ServerOption) *Server {
 		storeFor:     cfg.storeFor,
 		registry:     make(map[string]*tenantReg),
 		resident:     lru.New[string, *residentTenant](cfg.maxResident),
-		queue:        make(chan *job, cfg.queueDepth),
-	}
-	s.wg.Add(s.workers)
-	for i := 0; i < s.workers; i++ {
-		go s.worker()
+		slots:        make(chan struct{}, cfg.workers),
 	}
 	return s
 }
 
-// Close stops accepting requests, lets queued and running work finish,
-// and joins the worker pool. It is idempotent; requests submitted
-// after Close fail with ErrServerClosed.
+// Close stops accepting requests and waits until every admitted
+// request group, waiting or running, has finished. It is idempotent;
+// requests submitted after Close fail with ErrServerClosed.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	s.closed = true
-	close(s.queue)
 	s.mu.Unlock()
-	s.wg.Wait()
+	s.active.Wait()
 }
 
 // Register introduces a tenant whose Service is built by factory on
@@ -430,7 +430,7 @@ type TenantStats struct {
 	// built and held by the residency LRU.
 	Resident bool
 	// InFlight counts the tenant's admitted request groups not yet
-	// completed (queued or running).
+	// completed (waiting for a slot or running).
 	InFlight int
 	// Version is the tenant's current repository snapshot version
 	// (zero when the tenant is not resident).
@@ -468,7 +468,8 @@ func (s *Server) TenantStats(tenant string) (TenantStats, error) {
 
 // ServerStats aggregates the server's admission counters.
 type ServerStats struct {
-	// Workers and QueueDepth echo the pool configuration.
+	// Workers and QueueDepth echo the admission configuration: the
+	// execution slots and the bound on groups waiting for one.
 	Workers, QueueDepth int
 	// ResidentTenants counts tenants whose service is currently built.
 	ResidentTenants int
@@ -478,7 +479,7 @@ type ServerStats struct {
 	// internally retried rejections are not counted).
 	Accepted, Completed, Overloaded int64
 	// InFlight counts admitted request groups not yet completed
-	// (queued or running) at snapshot time.
+	// (waiting for a slot or running) at snapshot time.
 	InFlight int64
 	// QueueWaitTotal accumulates the admission-to-execution wait across
 	// all executed groups; QueueWaitMax is the worst single group wait.
@@ -521,7 +522,7 @@ func (s *Server) Stats() ServerStats {
 // results. Drain returns nil after a complete drain; if ctx ends
 // first it returns ctx.Err() with the server still draining (admission
 // stays off; the caller may cancel the in-flight requests' own
-// contexts and call Close, which waits for the workers). Drain is
+// contexts and call Close, which waits for them to return). Drain is
 // idempotent and safe to race with Match, MatchBatch, UpdateTenant,
 // and Close.
 func (s *Server) Drain(ctx context.Context) error {
@@ -535,8 +536,8 @@ func (s *Server) Drain(ctx context.Context) error {
 
 	// Poll the in-flight count: admission is already off, so the count
 	// only falls. The poll interval bounds drain latency detection, not
-	// request latency — finished groups close their done channels to
-	// their callers immediately.
+	// request latency: groups run on their callers' goroutines and
+	// return to them as soon as they finish.
 	ticker := time.NewTicker(time.Millisecond)
 	defer ticker.Stop()
 	for s.inflight.Load() != 0 {
@@ -551,7 +552,7 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // job is one admitted request group: requests of one tenant sharing
-// one personal schema, run sequentially on one worker so the group
+// one personal schema, run sequentially on one goroutine so the group
 // pays a single session (cost-table) build.
 type job struct {
 	ctx     context.Context
@@ -561,65 +562,86 @@ type job struct {
 	reqs    []Request
 	results []*Result
 	errs    []error
-	done    chan struct{}
-	// submitted is the admission timestamp, stamped by submit just
-	// before the group enters the queue; run measures the queue wait
+	// slotted reports that the group holds an execution slot: granted
+	// at admission when one was free, otherwise taken in run.
+	slotted bool
+	// submitted is the admission timestamp; run measures the queue wait
 	// against it.
 	submitted time.Time
 }
 
-// worker drains the queue until Close.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for j := range s.queue {
-		j.run()
+// newJob prepares one request group for admission.
+func (s *Server) newJob(ctx context.Context, reg *tenantReg, rt *residentTenant, reqs []Request) *job {
+	return &job{
+		ctx:     ctx,
+		reg:     reg,
+		rt:      rt,
+		server:  s,
+		reqs:    reqs,
+		results: make([]*Result, len(reqs)),
+		errs:    make([]error, len(reqs)),
 	}
 }
 
-// run executes every request of the group, then releases the group's
-// admission token.
+// fail reports err for every request of the group.
+func (j *job) fail(err error) {
+	for i := range j.errs {
+		j.errs[i] = err
+	}
+}
+
+// run executes an admitted group on the calling goroutine: it waits for
+// an execution slot if admission granted none, runs every request of
+// the group, then gives back everything admission took.
 func (j *job) run() {
+	s := j.server
 	defer func() {
+		if j.slotted {
+			<-s.slots
+		}
 		j.reg.inflight.Add(-1)
 		if j.reg.sem != nil {
 			<-j.reg.sem
 		}
-		j.server.completed.Add(1)
-		j.server.inflight.Add(-1)
-		close(j.done)
+		s.completed.Add(1)
+		s.inflight.Add(-1)
+		s.active.Done()
 	}()
-	// A group whose caller already gave up must not occupy the worker
+	if !j.slotted {
+		select {
+		case s.slots <- struct{}{}:
+			j.slotted = true
+		case <-j.ctx.Done():
+		}
+		s.mu.Lock()
+		s.waiting--
+		s.mu.Unlock()
+	}
+	// A group whose caller already gave up must not take a slot's time
 	// with the expensive non-cancellable steps (tenant build, cost
 	// tables) — that would amplify exactly the overload admission
 	// control exists to shed.
 	if err := j.ctx.Err(); err != nil {
-		for i := range j.reqs {
-			j.errs[i] = err
-		}
+		j.fail(err)
 		return
 	}
-	// Queue wait: admission (submit) to execution start. Recorded on
-	// the server counters for every group and, when the group's context
-	// carries a trace, as a retroactive span under its root.
-	var queueWait time.Duration
-	if !j.submitted.IsZero() {
-		runStart := time.Now()
-		queueWait = runStart.Sub(j.submitted)
-		j.server.queueWaitNs.Add(queueWait.Nanoseconds())
-		for {
-			cur := j.server.queueWaitMaxNs.Load()
-			if queueWait.Nanoseconds() <= cur ||
-				j.server.queueWaitMaxNs.CompareAndSwap(cur, queueWait.Nanoseconds()) {
-				break
-			}
+	// Queue wait: admission to execution start. Recorded on the server
+	// counters for every group and, when the group's context carries a
+	// trace, as a retroactive span under its root.
+	runStart := time.Now()
+	queueWait := runStart.Sub(j.submitted)
+	s.queueWaitNs.Add(queueWait.Nanoseconds())
+	for {
+		cur := s.queueWaitMaxNs.Load()
+		if queueWait.Nanoseconds() <= cur ||
+			s.queueWaitMaxNs.CompareAndSwap(cur, queueWait.Nanoseconds()) {
+			break
 		}
-		obs.FromContext(j.ctx).Record("queue_wait", j.submitted, runStart)
 	}
-	svc, err := j.server.serviceOf(j.reg, j.rt)
+	obs.FromContext(j.ctx).Record("queue_wait", j.submitted, runStart)
+	svc, err := s.serviceOf(j.reg, j.rt)
 	if err != nil {
-		for i := range j.reqs {
-			j.errs[i] = err
-		}
+		j.fail(err)
 		return
 	}
 	// The whole group pins the serving state it starts on: a tenant
@@ -631,9 +653,7 @@ func (j *job) run() {
 	// group (and their baseline runs) reuse the session tables.
 	if len(j.reqs) > 1 {
 		if _, err := svc.problemAt(j.ctx, st, j.reqs[0].Personal); err != nil {
-			for i := range j.reqs {
-				j.errs[i] = err
-			}
+			j.fail(err)
 			return
 		}
 	}
@@ -681,10 +701,11 @@ func (j *job) run() {
 	}
 }
 
-// submit runs admission control for one group and enqueues it: first
-// the per-tenant concurrency cap, then the bounded queue. Both reject
-// with ErrOverloaded rather than blocking.
-func (s *Server) submit(j *job) error {
+// admit runs admission control for one group: first the per-tenant
+// concurrency cap, then an execution slot or, with none free, a place
+// among the groups waiting for one. Both reject with ErrOverloaded
+// rather than blocking. An admitted group must be run.
+func (s *Server) admit(j *job) error {
 	if j.reg.sem != nil {
 		select {
 		case j.reg.sem <- struct{}{}:
@@ -692,68 +713,58 @@ func (s *Server) submit(j *job) error {
 			return fmt.Errorf("match: tenant %q at concurrency limit: %w", j.reg.name, ErrOverloaded)
 		}
 	}
-	j.reg.inflight.Add(1)
-	release := func() {
-		j.reg.inflight.Add(-1)
+	refuse := func(err error) error {
+		s.mu.Unlock()
 		if j.reg.sem != nil {
 			<-j.reg.sem
 		}
+		return err
 	}
 	s.mu.Lock()
 	if s.closed || s.draining {
-		s.mu.Unlock()
-		release()
-		return ErrServerClosed
+		return refuse(ErrServerClosed)
 	}
-	j.submitted = time.Now()
 	select {
-	case s.queue <- j:
-		// Counted before the lock drops so a Drain that begins right
-		// after this submission cannot observe zero in-flight groups
-		// while this one is still queued.
-		s.inflight.Add(1)
-		s.mu.Unlock()
-		s.accepted.Add(1)
-		return nil
+	case s.slots <- struct{}{}:
+		j.slotted = true
 	default:
-		s.mu.Unlock()
-		release()
-		return fmt.Errorf("match: queue full: %w", ErrOverloaded)
+		if s.waiting >= s.queueDepth {
+			return refuse(fmt.Errorf("match: queue full: %w", ErrOverloaded))
+		}
+		s.waiting++
 	}
+	// Counted before the lock drops so a Drain that begins right after
+	// this admission cannot observe zero in-flight groups while this
+	// one is still pending.
+	j.reg.inflight.Add(1)
+	s.inflight.Add(1)
+	s.active.Add(1)
+	s.mu.Unlock()
+	s.accepted.Add(1)
+	j.submitted = time.Now()
+	return nil
 }
 
-// Match serves one request for one tenant through the pool: resolve
-// the tenant (building its service if needed), pass admission control,
-// run on a worker, and wait for the result or ctx. A caller whose ctx
-// ends while the request is queued or running gets ctx.Err(); the
-// request itself is cancelled through the same ctx.
+// Match serves one request for one tenant on the calling goroutine:
+// resolve the tenant, pass admission control, wait for an execution
+// slot, then build the tenant's service if needed and run the request.
+// A caller whose ctx ends while the request waits for a slot gets
+// ctx.Err() at once; a running request is cancelled through the same
+// ctx.
 func (s *Server) Match(ctx context.Context, tenant string, req Request) (*Result, error) {
 	reg, rt, err := s.lookup(tenant)
 	if err != nil {
 		return nil, err
 	}
-	j := &job{
-		ctx:     ctx,
-		reg:     reg,
-		rt:      rt,
-		server:  s,
-		reqs:    []Request{req},
-		results: make([]*Result, 1),
-		errs:    make([]error, 1),
-		done:    make(chan struct{}),
-	}
-	if err := s.submit(j); err != nil {
+	j := s.newJob(ctx, reg, rt, []Request{req})
+	if err := s.admit(j); err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			s.overloaded.Add(1)
 		}
 		return nil, err
 	}
-	select {
-	case <-j.done:
-		return j.results[0], j.errs[0]
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	j.run()
+	return j.results[0], j.errs[0]
 }
 
 // BatchRequest is one element of a MatchBatch call: a Request plus the
@@ -774,19 +785,21 @@ type BatchResult struct {
 
 // MatchBatch serves a batch of requests across tenants. Requests of
 // one tenant that share a personal schema form a group: the group runs
-// on one worker and pays one session (cost-table) build, identical
+// on one goroutine and pays one session (cost-table) build, identical
 // registry queries inside it coalesce into one search, and distinct
-// groups run in parallel across the pool. Results arrive in input
-// order and failures are per-request — they never abort the rest of
-// the batch.
+// groups run in parallel, each on a goroutine of its own, up to the
+// server's execution slots. Results arrive in input order and failures
+// are per-request — they never abort the rest of the batch.
 //
 // Admission differs from Match: a batch is one caller's closed-loop
-// unit of work, so when the queue is full MatchBatch waits for its own
-// earlier groups to finish and retries instead of failing fast. A
-// group is rejected with ErrOverloaded only when the server stays
-// saturated by OTHER traffic while the batch has nothing left in
-// flight to wait on. The call returns when every group finished or ctx
-// ended — on early ctx end the unfinished requests report ctx.Err().
+// unit of work, so when admission refuses a group MatchBatch waits for
+// one of its own earlier groups to finish and retries instead of
+// failing fast. A group is rejected with ErrOverloaded only when the
+// server stays saturated by OTHER traffic while the batch has nothing
+// left in flight to wait on. The call returns when every admitted
+// group has returned; if ctx ends first, groups still waiting for a
+// slot and groups not yet admitted report ctx.Err(), and running
+// groups are cancelled through the same ctx.
 func (s *Server) MatchBatch(ctx context.Context, reqs []BatchRequest) []BatchResult {
 	out := make([]BatchResult, len(reqs))
 	if len(reqs) == 0 {
@@ -824,96 +837,54 @@ func (s *Server) MatchBatch(ctx context.Context, reqs []BatchRequest) []BatchRes
 		g.idx = append(g.idx, i)
 	}
 
-	// collect copies one finished group's results into the output.
-	type pending struct {
-		j   *job
-		idx []int
-	}
-	collect := func(p pending) {
-		for k, i := range p.idx {
-			out[i] = BatchResult{Result: p.j.results[k], Err: p.j.errs[k]}
+	// Every admitted group signals finished once its results are in
+	// out; running counts the batch's groups not yet seen finishing.
+	finished := make(chan struct{}, len(order))
+	running := 0
+	// admitOrWait passes one group through admission control with
+	// back-pressure: a group refused as overloaded waits for one of the
+	// batch's own groups to finish (freeing a slot, a place in the wait
+	// list or tenant capacity) and retries. With nothing of ours in
+	// flight the saturation is external, and the group is rejected.
+	admitOrWait := func(j *job) error {
+		for {
+			err := s.admit(j)
+			if !errors.Is(err, ErrOverloaded) {
+				return err
+			}
+			if running == 0 {
+				s.overloaded.Add(1)
+				return err
+			}
+			select {
+			case <-finished:
+				running--
+			case <-ctx.Done():
+				return ctx.Err()
+			}
 		}
 	}
-
-	var inflight []pending
-	cancelled := false
+	var wg sync.WaitGroup
 	for _, k := range order {
 		g := groups[k]
-		if cancelled {
+		j := s.newJob(ctx, g.reg, g.rt, g.reqs)
+		if err := admitOrWait(j); err != nil {
 			for _, i := range g.idx {
-				out[i] = BatchResult{Err: ctx.Err()}
+				out[i] = BatchResult{Err: err}
 			}
 			continue
 		}
-		j := &job{
-			ctx:     ctx,
-			reg:     g.reg,
-			rt:      g.rt,
-			server:  s,
-			reqs:    g.reqs,
-			results: make([]*Result, len(g.reqs)),
-			errs:    make([]error, len(g.reqs)),
-			done:    make(chan struct{}),
-		}
-		for {
-			err := s.submit(j)
-			if err == nil {
-				inflight = append(inflight, pending{j: j, idx: g.idx})
-				break
+		running++
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j.run()
+			for k, i := range g.idx {
+				out[i] = BatchResult{Result: j.results[k], Err: j.errs[k]}
 			}
-			// Back-pressure: an overloaded submission waits for the
-			// batch's own oldest in-flight group (whose completion
-			// frees queue and tenant capacity) and retries. With
-			// nothing of ours in flight the saturation is external —
-			// reject this group and move on.
-			if !errors.Is(err, ErrOverloaded) || len(inflight) == 0 {
-				if errors.Is(err, ErrOverloaded) {
-					s.overloaded.Add(1)
-				}
-				for _, i := range g.idx {
-					out[i] = BatchResult{Err: err}
-				}
-				break
-			}
-			oldest := inflight[0]
-			if waitDone(ctx, oldest.j) {
-				collect(oldest)
-				inflight = inflight[1:]
-			} else {
-				for _, i := range g.idx {
-					out[i] = BatchResult{Err: ctx.Err()}
-				}
-				cancelled = true
-				break
-			}
-		}
+			finished <- struct{}{}
+		}()
 	}
-
-	for _, p := range inflight {
-		if waitDone(ctx, p.j) {
-			collect(p)
-		} else {
-			for _, i := range p.idx {
-				out[i] = BatchResult{Err: ctx.Err()}
-			}
-		}
-	}
+	wg.Wait()
 	return out
-}
-
-// waitDone waits for the job or ctx, whichever ends first, reporting
-// whether the job finished. A job that is already done wins even when
-// ctx has also ended — finished work is never discarded as cancelled.
-func waitDone(ctx context.Context, j *job) bool {
-	select {
-	case <-j.done:
-		return true
-	default:
-	}
-	select {
-	case <-j.done:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }

@@ -663,3 +663,112 @@ func TestServerBatchCancellation(t *testing.T) {
 	srv.Close()
 	waitGoroutines(t, before)
 }
+
+// TestServerSlotWait pins the two waits of caller-run admission. A
+// group waiting for an execution slot returns ctx.Err() as soon as its
+// ctx ends and gives its place back: its counters balance and the next
+// submission is admitted, not refused. And Close returns only once a
+// request still running on its caller's goroutine has finished.
+func TestServerSlotWait(t *testing.T) {
+	tenants := testTenants(t, 43, 1, 1, 10)
+	name := tenants[0].Name
+	p := tenants[0].Personals()[0]
+	// hold starts a blocker request in the background and returns once
+	// it has taken the server's only slot; release lets it finish. A
+	// failing test releases it too, before the server is closed.
+	hold := func(t *testing.T, srv *Server) (release func(), held <-chan error) {
+		bl := &blocker{started: make(chan struct{}, 1), release: make(chan struct{})}
+		done := make(chan error, 1)
+		go func() {
+			_, err := srv.Match(context.Background(), name, Request{Personal: p, Delta: 0.4, System: bl})
+			done <- err
+		}()
+		<-bl.started
+		release = sync.OnceFunc(func() { close(bl.release) })
+		t.Cleanup(release)
+		return release, done
+	}
+	waitAccepted := func(t *testing.T, srv *Server, n int64) {
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.Stats().Accepted < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("accepted %d groups, want %d", srv.Stats().Accepted, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	t.Run("cancelled-waiter", func(t *testing.T) {
+		srv := NewServer(WithWorkers(1), WithQueueDepth(1))
+		t.Cleanup(srv.Close)
+		addAll(t, srv, tenants)
+		release, held := hold(t, srv)
+
+		ctx, cancel := context.WithCancel(context.Background())
+		waited := make(chan error, 1)
+		go func() {
+			_, err := srv.Match(ctx, name, Request{Personal: p, Delta: 0.4, Matcher: "exhaustive"})
+			waited <- err
+		}()
+		waitAccepted(t, srv, 2) // the waiter holds the only place in the wait list
+		cancel()
+		select {
+		case err := <-waited:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled waiter err = %v, want context.Canceled", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("cancelled waiter did not return while the slot stayed taken")
+		}
+
+		// The slot is still held: the next group can only be admitted
+		// into the place the cancelled waiter gave back.
+		next := make(chan error, 1)
+		go func() {
+			_, err := srv.Match(context.Background(), name, Request{Personal: p, Delta: 0.4, Matcher: "exhaustive"})
+			next <- err
+		}()
+		waitAccepted(t, srv, 3)
+		release()
+		if err := <-held; err != nil {
+			t.Fatalf("slot holder: %v", err)
+		}
+		if err := <-next; err != nil {
+			t.Fatalf("group admitted after the cancelled waiter: %v", err)
+		}
+		st := srv.Stats()
+		if st.InFlight != 0 || st.Accepted != st.Completed || st.Overloaded != 0 {
+			t.Fatalf("stats after the waits: in flight %d, accepted %d, completed %d, overloaded %d; want 0, equal, 0",
+				st.InFlight, st.Accepted, st.Completed, st.Overloaded)
+		}
+	})
+
+	t.Run("close-waits-for-running", func(t *testing.T) {
+		srv := NewServer(WithWorkers(1))
+		t.Cleanup(srv.Close)
+		addAll(t, srv, tenants)
+		release, held := hold(t, srv)
+		closed := make(chan struct{})
+		go func() {
+			srv.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+			t.Fatal("Close returned while a request was still running")
+		case <-time.After(50 * time.Millisecond):
+		}
+		release()
+		if err := <-held; err != nil {
+			t.Fatalf("running request failed across Close: %v", err)
+		}
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close did not return after the running request finished")
+		}
+		if st := srv.Stats(); st.InFlight != 0 || st.Accepted != st.Completed {
+			t.Fatalf("after Close: in flight %d, accepted %d, completed %d", st.InFlight, st.Accepted, st.Completed)
+		}
+	})
+}
