@@ -102,15 +102,7 @@ func (c *Client) do(ctx context.Context, method, path string, contentType string
 		_, err := io.Copy(io.Discard, resp.Body)
 		return err
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return err
-	}
-	// The decoder stops at the end of the value, before the encoder's
-	// newline and a chunked body's last chunk. Read on to EOF: the
-	// transport keeps a connection only when its body was read to the
-	// end, and otherwise closes it, so the next request would dial anew.
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	return nil
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // Match runs one matching request against tenant.

@@ -4,13 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -122,46 +120,6 @@ func TestMatchWireParity(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestClientKeepsConnection: sequential requests from one Client reuse
-// one connection, also when the answers are too many for one
-// unchunked response.
-func TestClientKeepsConnection(t *testing.T) {
-	fleet := testFleet(t, 3, 1, 2, 60)
-	srv := match.NewServer()
-	t.Cleanup(srv.Close)
-	tn := fleet[0]
-	if err := srv.AddTenant(tn.Name, tn.Repo()); err != nil {
-		t.Fatal(err)
-	}
-	var conns atomic.Int64
-	ts := httptest.NewUnstartedServer(New(srv, Config{}))
-	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
-		if s == http.StateNew {
-			conns.Add(1)
-		}
-	}
-	ts.Start()
-	t.Cleanup(ts.Close)
-	cl := NewClient(ts.URL, "")
-	defer cl.Close()
-
-	const requests = 40
-	most := 0
-	for i := 0; i < requests; i++ {
-		resp, err := cl.Match(context.Background(), tn.Name, wireRequest(tn.Personals()[i%2], 0.4, "exhaustive"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		most = max(most, len(resp.Answers))
-	}
-	if most < 100 {
-		t.Fatalf("largest response has %d answers; the test needs a chunked one", most)
-	}
-	if n := conns.Load(); n != 1 {
-		t.Fatalf("%d requests opened %d connections, want 1", requests, n)
 	}
 }
 
@@ -479,9 +437,32 @@ func TestDeadline(t *testing.T) {
 	defer cl.Close()
 
 	before := runtime.NumGoroutine()
+	// Without a client-side deadline, the wire deadline alone must end
+	// the request that starts the tenant's build with a 504 while the
+	// build is still blocked.
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/match/"+tn.Name,
+		strings.NewReader(mustBody(t, wireRequest(tn.Personals()[0], 0.4, ""))))
+	req.Header.Set(DeadlineHeader, "50")
+	req.Close = true // keep no idle connection for the leak check below
+	start := time.Now()
+	resp, err := (&http.Client{Timeout: 10 * time.Second}).Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb ErrorBody
+	decErr := json.NewDecoder(resp.Body).Decode(&eb)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout || decErr != nil || eb.Error.Code != CodeDeadlineExceeded {
+		t.Fatalf("wire deadline on a blocked tenant: status %d, code %q (%v); want 504 %s",
+			resp.StatusCode, eb.Error.Code, decErr, CodeDeadlineExceeded)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("50ms wire deadline answered after %v", took)
+	}
+
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, err := cl.Match(ctx, tn.Name, wireRequest(tn.Personals()[0], 0.4, ""))
+	_, err = cl.Match(ctx, tn.Name, wireRequest(tn.Personals()[0], 0.4, ""))
 	var ae *APIError
 	if asAPIErr(err, &ae) {
 		if ae.StatusCode != http.StatusGatewayTimeout || ae.Code != CodeDeadlineExceeded {
@@ -506,10 +487,10 @@ func TestDeadline(t *testing.T) {
 	}
 
 	// A malformed deadline header is 400, not a hang.
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/match/"+tn.Name,
+	req, _ = http.NewRequest(http.MethodPost, ts.URL+"/v1/match/"+tn.Name,
 		strings.NewReader(mustBody(t, wireRequest(tn.Personals()[0], 0.4, ""))))
 	req.Header.Set(DeadlineHeader, "soon")
-	resp, err := http.DefaultClient.Do(req)
+	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package lazy
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -88,5 +89,56 @@ func TestBuiltNeverBuilds(t *testing.T) {
 	c.Seed(3, nil)
 	if v, err, ok := c.Built(); !ok || v != 3 || err != nil {
 		t.Fatalf("Built = (%d, %v, %v)", v, err, ok)
+	}
+}
+
+func TestDoContextWaiterLeaves(t *testing.T) {
+	var c Cell[int]
+	started, release := make(chan struct{}), make(chan struct{})
+	built := make(chan int, 1)
+	go func() {
+		v, _ := c.DoContext(context.Background(), func() (int, error) {
+			close(started)
+			<-release
+			return 5, nil
+		})
+		built <- v
+	}()
+	<-started
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.DoContext(ctx, func() (int, error) {
+		t.Fatal("waiter ran a second build")
+		return 0, nil
+	}); err != context.Canceled {
+		t.Fatalf("waiter err = %v, want context.Canceled", err)
+	}
+	close(release)
+	if v := <-built; v != 5 {
+		t.Fatalf("builder got %d, want 5", v)
+	}
+	// A settled value wins over an ended ctx.
+	if v, err := c.DoContext(ctx, nil); v != 5 || err != nil {
+		t.Fatalf("DoContext on a settled cell = (%d, %v)", v, err)
+	}
+}
+
+func TestGoBuildOutlivesCaller(t *testing.T) {
+	var c Cell[int]
+	release := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.Go(ctx, func() (int, error) {
+		<-release
+		return 8, nil
+	}); err != context.Canceled {
+		t.Fatalf("starter err = %v, want context.Canceled", err)
+	}
+	if _, _, ok := c.Built(); ok {
+		t.Fatal("cell settled before its build returned")
+	}
+	close(release)
+	if v, err := c.Go(context.Background(), nil); v != 8 || err != nil {
+		t.Fatalf("Go after the build = (%d, %v)", v, err)
 	}
 }

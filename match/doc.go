@@ -203,9 +203,9 @@
 // A Service is safe for concurrent use after construction. Concurrent
 // requests share the scoring engine (per-shard locks), the index
 // (built once), and sessions: the first request for a personal schema
-// builds its cost tables while others wait; the first request needing
-// a baseline runs it exactly once while concurrent waiters either
-// adopt its result or honor their own ctx and leave.
+// builds its cost tables and the first request needing a baseline runs
+// it, each exactly once, while concurrent waiters either adopt the
+// result or honor their own ctx and leave.
 //
 // Service.Match honors ctx end-to-end through the search layer: every
 // matcher polls cancellation periodically inside its enumeration hot
@@ -237,7 +237,7 @@
 // while requests already holding it finish safely, and the
 // next request rebuilds it from the registration.
 //
-// The server starts no goroutines of its own: every request group runs
+// The server keeps no goroutines of its own: every request group runs
 // on the goroutine of the call that submitted it. Admission control
 // bounds that work: WithWorkers sets how many groups run at once,
 // WithQueueDepth how many admitted groups may wait for one of those
@@ -245,8 +245,11 @@
 // in-flight request groups. Server.Match is the open-loop path — an
 // overloaded submission fails immediately with the typed ErrOverloaded
 // (test with errors.Is) so callers can shed or retry on their own
-// schedule. A caller whose ctx ends while its group waits for a slot
-// gets ctx.Err() at once and gives its place back.
+// schedule. A caller whose ctx ends while its group waits — for a
+// slot, for the tenant's service build or for cost tables another
+// request is building — gets ctx.Err() at once and gives its place
+// back; a tenant build goes on, on a goroutine of its own, for the
+// next request.
 //
 // MatchBatch is the closed-loop path for callers that already hold
 // many requests. It groups same-tenant, same-personal-schema requests

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/lazy"
 	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/xmlschema"
@@ -99,20 +100,18 @@ type Server struct {
 	tenantLimit  int
 	tenantShards int
 	storeFor     func(tenant string) TenantStore
-	// slots holds one token per running request group.
-	slots chan struct{}
+	// admitted holds one token per admitted request group, waiting or
+	// running: at most workers+queueDepth, so at most queueDepth wait
+	// while every slot runs a group. slots holds one token per running
+	// group.
+	admitted chan struct{}
+	slots    chan struct{}
 
 	mu       sync.Mutex
 	closed   bool
 	draining bool
 	registry map[string]*tenantReg
 	resident *lru.Map[string, *residentTenant]
-	// waiting counts admitted groups that hold no slot yet; admission
-	// refuses a group that would take it past queueDepth.
-	waiting int
-	// active tracks admitted groups until they complete; Close waits
-	// on it.
-	active sync.WaitGroup
 
 	accepted   atomic.Int64
 	completed  atomic.Int64
@@ -123,8 +122,8 @@ type Server struct {
 	queueWaitMaxNs atomic.Int64
 	// inflight counts admitted-but-not-completed request groups. It is
 	// incremented under mu at admission and decremented when the
-	// group's job finishes, so Drain observing zero under the
-	// draining flag proves no admitted group is still pending.
+	// group's job finishes, so Drain and Close observing zero after
+	// admission stopped prove no admitted group is still pending.
 	inflight atomic.Int64
 }
 
@@ -147,41 +146,15 @@ type tenantReg struct {
 	snap   *xmlschema.Snapshot
 }
 
-// residentTenant is the lazily built service of one tenant. The once
-// singleflights concurrent first requests; the LRU owns the entry,
-// but evicted values stay safe for requests already holding them.
-// svc/err/done are guarded by mu so observers (TenantStats) never
-// race the build.
-type residentTenant struct {
-	build func() (*Service, error)
-	once  sync.Once
-	// ffOnce fast-forwards a freshly built service to the tenant's
-	// latest updated snapshot (tenantReg.snap) exactly once.
-	ffOnce sync.Once
-
-	mu   sync.Mutex
-	done bool
-	svc  *Service
-	err  error
-}
-
-// service returns the built service, nil until the build completed.
-func (rt *residentTenant) service() (*Service, error, bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.svc, rt.err, rt.done
-}
-
-// failed reports whether the build completed with an error.
-func (rt *residentTenant) failed() bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.done && rt.err != nil
-}
+// residentTenant is the lazily built service of one tenant. The LRU
+// owns the entry, but evicted values stay safe for requests already
+// holding them.
+type residentTenant = lazy.Cell[*Service]
 
 // NewServer builds an empty multi-tenant server. It starts no
 // goroutines: every request group runs on the goroutine of the Match
-// or MatchBatch call that submitted it.
+// or MatchBatch call that submitted it, and only a tenant's service
+// build gets a goroutine of its own.
 func NewServer(opts ...ServerOption) *Server {
 	cfg := serverConfig{}
 	for _, o := range opts {
@@ -204,6 +177,7 @@ func NewServer(opts ...ServerOption) *Server {
 		storeFor:     cfg.storeFor,
 		registry:     make(map[string]*tenantReg),
 		resident:     lru.New[string, *residentTenant](cfg.maxResident),
+		admitted:     make(chan struct{}, cfg.workers+cfg.queueDepth),
 		slots:        make(chan struct{}, cfg.workers),
 	}
 	return s
@@ -216,7 +190,7 @@ func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
-	s.active.Wait()
+	s.idle(context.Background())
 }
 
 // Register introduces a tenant whose Service is built by factory on
@@ -297,7 +271,7 @@ func (s *Server) Service(tenant string) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.serviceOf(reg, rt)
+	return s.serviceOf(context.Background(), reg, rt)
 }
 
 // lookup resolves the registration and the resident entry of tenant,
@@ -317,57 +291,49 @@ func (s *Server) lookup(tenant string) (*tenantReg, *residentTenant, error) {
 	// fresh entry and a fresh build attempt (in-flight holders of the
 	// failed entry still see its error). Without this a transient
 	// factory failure on a never-evicted tenant would be permanent.
-	if ok && rt.failed() {
-		ok = false
+	if ok {
+		if _, err, done := rt.Built(); done && err != nil {
+			ok = false
+		}
 	}
 	if !ok {
-		rt = &residentTenant{build: reg.build}
+		rt = &residentTenant{}
 		s.resident.Put(tenant, rt)
 	}
 	return reg, rt, nil
 }
 
-// serviceOf builds the resident service outside the server lock;
-// concurrent callers of the same resident entry share one build. A
-// service rebuilt after an eviction is fast-forwarded to the tenant's
-// latest UpdateTenant snapshot before it serves its first request, so
-// residency churn never rolls a tenant back to its registration-time
-// repository.
-func (s *Server) serviceOf(reg *tenantReg, rt *residentTenant) (*Service, error) {
-	rt.once.Do(func() {
-		svc, err := rt.build()
-		rt.mu.Lock()
-		rt.svc, rt.err, rt.done = svc, err, true
-		rt.mu.Unlock()
-	})
-	svc, err, _ := rt.service()
-	if err != nil {
-		return nil, err
-	}
-	rt.ffOnce.Do(func() {
+// serviceOf returns the resident service, building it on first use.
+// Concurrent callers of the same resident entry share one build, which
+// runs on a goroutine of its own: a factory takes no ctx, so a caller
+// whose ctx ends first returns ctx.Err() at once while the build goes
+// on for the next request (the goroutine ends when the factory
+// returns; Close does not wait for it). A service rebuilt after an
+// eviction is fast-forwarded to the tenant's latest UpdateTenant
+// snapshot before it serves its first request, so residency churn
+// never rolls a tenant back to its registration-time repository.
+func (s *Server) serviceOf(ctx context.Context, reg *tenantReg, rt *residentTenant) (*Service, error) {
+	return rt.Go(ctx, func() (*Service, error) {
+		svc, err := reg.build()
+		if err != nil {
+			return nil, err
+		}
 		reg.snapMu.Lock()
 		target := reg.snap
 		reg.snapMu.Unlock()
 		if target == nil || target == svc.Snapshot() {
-			return
+			return svc, nil
 		}
-		if ffErr := svc.Update(func(*xmlschema.Snapshot) (*xmlschema.Snapshot, error) {
+		if err := svc.Update(func(*xmlschema.Snapshot) (*xmlschema.Snapshot, error) {
 			return target, nil
-		}); ffErr != nil {
+		}); err != nil {
 			// A service that cannot reach the tenant's current snapshot
-			// must not serve the stale one; surface the failure and let
-			// the next lookup retry with a fresh entry.
-			rt.mu.Lock()
-			rt.err = fmt.Errorf("match: tenant %q: fast-forward: %w", reg.name, ffErr)
-			rt.mu.Unlock()
+			// must not serve the stale one; fail the entry so the next
+			// lookup retries with a fresh one.
+			return nil, fmt.Errorf("match: tenant %q: fast-forward: %w", reg.name, err)
 		}
+		return svc, nil
 	})
-	// Re-read: the fast-forward may have amended the outcome.
-	svc, err, _ = rt.service()
-	if err != nil {
-		return nil, err
-	}
-	return svc, nil
 }
 
 // UpdateTenant atomically swaps one tenant's repository snapshot:
@@ -396,7 +362,7 @@ func (s *Server) UpdateTenantContext(ctx context.Context, tenant string, mutate 
 		if err != nil {
 			return err
 		}
-		svc, err := s.serviceOf(reg, rt)
+		svc, err := s.serviceOf(context.WithoutCancel(ctx), reg, rt)
 		if err != nil {
 			return err
 		}
@@ -455,7 +421,7 @@ func (s *Server) TenantStats(tenant string) (TenantStats, error) {
 
 	st := TenantStats{Tenant: tenant, InFlight: int(reg.inflight.Load())}
 	if resident {
-		if svc, err, done := rt.service(); done && err == nil && svc != nil {
+		if svc, err, done := rt.Built(); done && err == nil && svc != nil {
 			st.Resident = true
 			st.Version = svc.Version()
 			if cache, ok := svc.CacheStats(); ok {
@@ -533,11 +499,19 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.draining = true
 	s.mu.Unlock()
+	if err := s.idle(ctx); err != nil {
+		return err
+	}
+	s.Close()
+	return nil
+}
 
-	// Poll the in-flight count: admission is already off, so the count
-	// only falls. The poll interval bounds drain latency detection, not
-	// request latency: groups run on their callers' goroutines and
-	// return to them as soon as they finish.
+// idle waits, once admission is off, until no admitted group is in
+// flight, or until ctx ends. It polls the in-flight count, which only
+// falls once admission is off. The poll interval bounds how late a
+// drain notices the end, not request latency: groups run on their
+// callers' goroutines and return to them as soon as they finish.
+func (s *Server) idle(ctx context.Context) error {
 	ticker := time.NewTicker(time.Millisecond)
 	defer ticker.Stop()
 	for s.inflight.Load() != 0 {
@@ -547,7 +521,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		case <-ticker.C:
 		}
 	}
-	s.Close()
 	return nil
 }
 
@@ -562,9 +535,6 @@ type job struct {
 	reqs    []Request
 	results []*Result
 	errs    []error
-	// slotted reports that the group holds an execution slot: granted
-	// at admission when one was free, otherwise taken in run.
-	slotted bool
 	// submitted is the admission timestamp; run measures the queue wait
 	// against it.
 	submitted time.Time
@@ -591,31 +561,23 @@ func (j *job) fail(err error) {
 }
 
 // run executes an admitted group on the calling goroutine: it waits for
-// an execution slot if admission granted none, runs every request of
-// the group, then gives back everything admission took.
+// an execution slot or the end of the group's ctx, runs every request
+// of the group, then gives back everything admission took.
 func (j *job) run() {
 	s := j.server
 	defer func() {
-		if j.slotted {
-			<-s.slots
-		}
 		j.reg.inflight.Add(-1)
 		if j.reg.sem != nil {
 			<-j.reg.sem
 		}
+		<-s.admitted
 		s.completed.Add(1)
 		s.inflight.Add(-1)
-		s.active.Done()
 	}()
-	if !j.slotted {
-		select {
-		case s.slots <- struct{}{}:
-			j.slotted = true
-		case <-j.ctx.Done():
-		}
-		s.mu.Lock()
-		s.waiting--
-		s.mu.Unlock()
+	select {
+	case s.slots <- struct{}{}:
+		defer func() { <-s.slots }()
+	case <-j.ctx.Done():
 	}
 	// A group whose caller already gave up must not take a slot's time
 	// with the expensive non-cancellable steps (tenant build, cost
@@ -639,7 +601,7 @@ func (j *job) run() {
 		}
 	}
 	obs.FromContext(j.ctx).Record("queue_wait", j.submitted, runStart)
-	svc, err := s.serviceOf(j.reg, j.rt)
+	svc, err := s.serviceOf(j.ctx, j.reg, j.rt)
 	if err != nil {
 		j.fail(err)
 		return
@@ -702,9 +664,9 @@ func (j *job) run() {
 }
 
 // admit runs admission control for one group: first the per-tenant
-// concurrency cap, then an execution slot or, with none free, a place
-// among the groups waiting for one. Both reject with ErrOverloaded
-// rather than blocking. An admitted group must be run.
+// concurrency cap, then a place among the server's admitted groups.
+// Both reject with ErrOverloaded rather than blocking. An admitted
+// group must be run.
 func (s *Server) admit(j *job) error {
 	if j.reg.sem != nil {
 		select {
@@ -725,20 +687,15 @@ func (s *Server) admit(j *job) error {
 		return refuse(ErrServerClosed)
 	}
 	select {
-	case s.slots <- struct{}{}:
-		j.slotted = true
+	case s.admitted <- struct{}{}:
 	default:
-		if s.waiting >= s.queueDepth {
-			return refuse(fmt.Errorf("match: queue full: %w", ErrOverloaded))
-		}
-		s.waiting++
+		return refuse(fmt.Errorf("match: queue full: %w", ErrOverloaded))
 	}
 	// Counted before the lock drops so a Drain that begins right after
 	// this admission cannot observe zero in-flight groups while this
 	// one is still pending.
 	j.reg.inflight.Add(1)
 	s.inflight.Add(1)
-	s.active.Add(1)
 	s.mu.Unlock()
 	s.accepted.Add(1)
 	j.submitted = time.Now()
@@ -748,9 +705,12 @@ func (s *Server) admit(j *job) error {
 // Match serves one request for one tenant on the calling goroutine:
 // resolve the tenant, pass admission control, wait for an execution
 // slot, then build the tenant's service if needed and run the request.
-// A caller whose ctx ends while the request waits for a slot gets
-// ctx.Err() at once; a running request is cancelled through the same
-// ctx.
+// A caller whose ctx ends while the request waits for a slot, for the
+// tenant's service build or for cost tables another request is
+// building gets ctx.Err() at once; a running search is cancelled
+// through the same ctx. Cost tables the request builds itself are not
+// cancellable: their build is bounded by the corpus size and keeps the
+// request's slot until it ends.
 func (s *Server) Match(ctx context.Context, tenant string, req Request) (*Result, error) {
 	reg, rt, err := s.lookup(tenant)
 	if err != nil {
@@ -797,9 +757,10 @@ type BatchResult struct {
 // failing fast. A group is rejected with ErrOverloaded only when the
 // server stays saturated by OTHER traffic while the batch has nothing
 // left in flight to wait on. The call returns when every admitted
-// group has returned; if ctx ends first, groups still waiting for a
-// slot and groups not yet admitted report ctx.Err(), and running
-// groups are cancelled through the same ctx.
+// group has returned; once ctx ends, groups not yet admitted are not
+// admitted, and admitted groups end as Match does: waiting groups
+// report ctx.Err() at once and running groups are cancelled through
+// the same ctx.
 func (s *Server) MatchBatch(ctx context.Context, reqs []BatchRequest) []BatchResult {
 	out := make([]BatchResult, len(reqs))
 	if len(reqs) == 0 {
@@ -868,7 +829,11 @@ func (s *Server) MatchBatch(ctx context.Context, reqs []BatchRequest) []BatchRes
 	for _, k := range order {
 		g := groups[k]
 		j := s.newJob(ctx, g.reg, g.rt, g.reqs)
-		if err := admitOrWait(j); err != nil {
+		err := ctx.Err()
+		if err == nil {
+			err = admitOrWait(j)
+		}
+		if err != nil {
 			for _, i := range g.idx {
 				out[i] = BatchResult{Err: err}
 			}

@@ -772,3 +772,64 @@ func TestServerSlotWait(t *testing.T) {
 		}
 	})
 }
+
+// TestServerBuildDeadline: a request whose ctx ends while its tenant's
+// service is still being built returns ctx.Err() on time, from Match
+// and from MatchBatch, and gives its admission back; the build goes on
+// and serves the next request.
+func TestServerBuildDeadline(t *testing.T) {
+	tenants := testTenants(t, 47, 1, 1, 10)
+	p := tenants[0].Personals()[0]
+	srv := NewServer(WithWorkers(1))
+	defer srv.Close()
+	gate := make(chan struct{})
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate()
+	repo := tenants[0].Repo()
+	if err := srv.Register("slow", func() (*Service, error) {
+		<-gate
+		return NewService(repo)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Personal: p, Delta: 0.4, Matcher: "exhaustive"}
+	// deadlined runs call with a 50 ms deadline and fails unless it
+	// returns within a generous bound for loaded race runs; the build
+	// stays blocked far longer.
+	deadlined := func(what string, call func(ctx context.Context) []error) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		done := make(chan []error, 1)
+		go func() { done <- call(ctx) }()
+		select {
+		case errs := <-done:
+			for i, err := range errs {
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("%s on a blocked build: result %d err = %v, want context.DeadlineExceeded", what, i, err)
+				}
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s did not return within 1s of a 50ms deadline", what)
+		}
+	}
+	deadlined("Match", func(ctx context.Context) []error {
+		_, err := srv.Match(ctx, "slow", req)
+		return []error{err}
+	})
+	deadlined("MatchBatch", func(ctx context.Context) []error {
+		var errs []error
+		for _, r := range srv.MatchBatch(ctx, []BatchRequest{{Tenant: "slow", Request: req}, {Tenant: "slow", Request: req}}) {
+			errs = append(errs, r.Err)
+		}
+		return errs
+	})
+	if st := srv.Stats(); st.InFlight != 0 || st.Accepted != st.Completed {
+		t.Fatalf("after the deadlines: in flight %d, accepted %d, completed %d", st.InFlight, st.Accepted, st.Completed)
+	}
+
+	openGate()
+	if _, err := srv.Match(context.Background(), "slow", req); err != nil {
+		t.Fatalf("request after the build: %v", err)
+	}
+}

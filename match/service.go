@@ -331,19 +331,17 @@ type session struct {
 	personal *xmlschema.Schema
 	st       *serviceState
 
-	mu       sync.Mutex
-	prob     *matching.Problem
-	probErr  error
-	probDone bool
-
+	// prob is the session's problem (cost tables), built by its first
+	// request; concurrent requests wait for it or their own ctx.
+	prob lazy.Cell[*matching.Problem]
 	// wide is the unfiltered problem serving requests above the
 	// candidate pruning horizon, built lazily on the first such request
 	// (never populated on services without WithCandidateIndex — prob is
 	// already exact everywhere there).
-	wide     *matching.Problem
-	wideErr  error
-	wideDone bool
+	wide lazy.Cell[*matching.Problem]
 
+	// mu guards the baseline fields.
+	mu      sync.Mutex
 	baseSet *matching.AnswerSet
 	// baseScores indexes baseSet (mapping key → score), built once so
 	// per-request containment checks never rebuild it.
@@ -682,9 +680,7 @@ func (s *Service) problemAt(ctx context.Context, st *serviceState, personal *xml
 }
 
 func (s *Service) problem(ctx context.Context, e *session) (*matching.Problem, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.probDone {
+	return e.prob.DoContext(ctx, func() (*matching.Problem, error) {
 		cfg := s.matchCfg
 		if s.candOn {
 			// A candidate index build failure degrades to unfiltered
@@ -694,10 +690,8 @@ func (s *Service) problem(ctx context.Context, e *session) (*matching.Problem, e
 				cfg.CandidateDelta = s.candHorizon
 			}
 		}
-		e.prob, e.probErr = matching.NewProblemContext(ctx, e.personal, e.st.snap.Repository(), cfg)
-		e.probDone = true
-	}
-	return e.prob, e.probErr
+		return matching.NewProblemContext(ctx, e.personal, e.st.snap.Repository(), cfg)
+	})
 }
 
 // problemFor returns the session problem that is provably exact at
@@ -708,13 +702,9 @@ func (s *Service) problemFor(ctx context.Context, e *session, delta float64) (*m
 	if err != nil || prob.ExactWithin(delta) {
 		return prob, err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.wideDone {
-		e.wide, e.wideErr = matching.NewProblemContext(ctx, e.personal, e.st.snap.Repository(), s.matchCfg)
-		e.wideDone = true
-	}
-	return e.wide, e.wideErr
+	return e.wide.DoContext(ctx, func() (*matching.Problem, error) {
+		return matching.NewProblemContext(ctx, e.personal, e.st.snap.Repository(), s.matchCfg)
+	})
 }
 
 // Baseline returns the cached baseline (S1) answer set for personal at

@@ -188,8 +188,8 @@ func (s *Service) UpdateContext(ctx context.Context, mutate func(*xmlschema.Snap
 // produce. A baseline build still in flight is left behind — it
 // belongs to the old generation and completes there harmlessly.
 func (s *Service) rebaseSession(old *session, nst *serviceState, diff xmlschema.Diff) *session {
+	prob, probErr, probDone := old.prob.Built()
 	old.mu.Lock()
-	probDone, prob, probErr := old.probDone, old.prob, old.probErr
 	baseSet := old.baseSet
 	old.mu.Unlock()
 	if !probDone || probErr != nil || prob == nil {
@@ -213,7 +213,8 @@ func (s *Service) rebaseSession(old *session, nst *serviceState, diff xmlschema.
 	if err != nil {
 		return nil
 	}
-	ne := &session{personal: old.personal, st: nst, prob: np, probDone: true}
+	ne := &session{personal: old.personal, st: nst}
+	ne.prob.Seed(np, nil)
 	if baseSet == nil {
 		return ne
 	}

@@ -127,8 +127,9 @@ func TestServiceUpdateKeepsWarmSessions(t *testing.T) {
 	if stale != 0 {
 		t.Fatalf("%d stale-generation sessions survived the update", stale)
 	}
+	_, _, probDone := e.prob.Built()
 	e.mu.Lock()
-	probDone, baseSet := e.probDone, e.baseSet
+	baseSet := e.baseSet
 	e.mu.Unlock()
 	if !probDone || baseSet == nil {
 		t.Fatalf("carried session cold: probDone=%v baseline=%v", probDone, baseSet != nil)
