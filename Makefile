@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test bench bench-smoke bench-verify race shuffle fuzz-smoke load-smoke churn-smoke serve-smoke store-smoke shard-prop cand-prop store-prop
+.PHONY: ci fmt vet build test bench bench-smoke bench-verify race shuffle fuzz-smoke daemon-smoke shard-prop cand-prop store-prop
 
-ci: fmt vet build race shard-prop cand-prop store-prop fuzz-smoke serve-smoke store-smoke bench-verify
+ci: fmt vet build race shard-prop cand-prop store-prop fuzz-smoke daemon-smoke bench-smoke bench-verify
 
 # gofmt enforcement: fail (listing the offenders) when any tracked Go
 # file is not gofmt-clean.
@@ -78,75 +78,40 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadRepository' -fuzztime 5s ./internal/xmlschema
 	$(GO) test -run '^$$' -fuzz 'FuzzReadSchema' -fuzztime 5s ./internal/xmlschema
 
-# Serving-layer smoke: the multi-tenant load driver on a tiny corpus,
-# including the batched-vs-sequential throughput comparison.
-load-smoke:
-	$(GO) run ./cmd/matchload -tenants 2 -personals 2 -schemas 12 \
-		-requests 40 -queue 64 -compare
-
-# Live-update smoke under the race detector: schema churn interleaved
-# with query traffic must complete with zero failed in-flight requests
-# (the driver errors out otherwise) and no data races.
-churn-smoke:
-	$(GO) run -race ./cmd/matchload -tenants 2 -personals 2 -schemas 10 \
-		-requests 40 -rate 150 -queue 64 -churn-rate 25
-
-# Network-serving smoke: generate a corpus with schemagen, start
-# matchd on a random port with tracing at 100% sampling, drive it over
-# the wire with matchload -remote -trace (same seed and fleet shape,
-# so tenant names and personals agree; the replay scrapes /metrics,
-# validates every inline span trace against the request wall, and
-# scrapes /debug/traces requiring well-formed span trees), then
-# SIGTERM and require a clean drain — matchd exits non-zero if any
-# admitted request was abandoned.
-serve-smoke:
-	@set -e; tmp=$$(mktemp -d); pid=""; \
-	cleanup() { [ -n "$$pid" ] && kill "$$pid" 2>/dev/null; rm -rf "$$tmp"; }; \
-	trap cleanup EXIT; \
-	$(GO) run ./cmd/schemagen -out "$$tmp/corpus" -tenants 2 -personals 2 -schemas 12 -seed 1 >/dev/null; \
-	$(GO) build -o "$$tmp/matchd" ./cmd/matchd; \
-	"$$tmp/matchd" -corpus "$$tmp/corpus" -addr 127.0.0.1:0 -addr-file "$$tmp/addr" \
-		-admin-token smoke-admin -trace-sample 1 -quiet & pid=$$!; \
-	i=0; while [ ! -s "$$tmp/addr" ] && [ $$i -lt 100 ]; do sleep 0.1; i=$$((i+1)); done; \
-	[ -s "$$tmp/addr" ] || { echo "serve-smoke: matchd never wrote its address file"; exit 1; }; \
-	$(GO) run ./cmd/matchload -tenants 2 -personals 2 -schemas 12 \
-		-requests 40 -queue 64 -seed 1 -remote "$$(cat $$tmp/addr)" \
-		-trace -remote-admin-token smoke-admin -quiet; \
-	kill -TERM "$$pid"; wait "$$pid"; pid=""; \
-	echo "serve-smoke: clean drain"
-
-# Durable-store smoke, the full power-cycle: generate a corpus, boot
-# matchd with -store-dir, churn every tenant over the wire (full-
-# repository PUTs via matchload's remote churner), SIGTERM into the
-# shutdown compaction, archive the store, reboot matchd from the store
-# alone (no corpus), SIGTERM again, archive again — the two dumps must
-# be bit-identical (the dump format is deterministic and carries no
-# timestamps), and the dump must verify against the live store.
-store-smoke:
+# Daemon smoke on the real binary: generate a corpus with schemagen,
+# boot matchd with a durable store, SIGTERM it and require a clean
+# drain (signal handling, drain and shutdown compaction, exit 0),
+# archive the store, reboot matchd from the store alone with the
+# periodic compactor rewriting every log from itself, SIGTERM again and
+# archive again. The two dumps must be bit-identical (the dump format
+# is deterministic and carries no timestamps), and the first must
+# verify against the live store. Wire traffic, churn under load,
+# tracing and the churned-store power cycle are cmd/matchd's Go tests:
+# TestDaemonServeAndDrain, TestDaemonTracing and
+# TestDaemonColdStartRecovery.
+daemon-smoke:
 	@set -e; tmp=$$(mktemp -d); pid=""; \
 	cleanup() { [ -n "$$pid" ] && kill "$$pid" 2>/dev/null; rm -rf "$$tmp"; }; \
 	trap cleanup EXIT; \
 	$(GO) run ./cmd/schemagen -out "$$tmp/corpus" -tenants 2 -personals 2 -schemas 12 -seed 1 >/dev/null; \
 	$(GO) build -o "$$tmp/matchd" ./cmd/matchd; \
 	$(GO) build -o "$$tmp/matcharchive" ./cmd/matcharchive; \
-	"$$tmp/matchd" -corpus "$$tmp/corpus" -store-dir "$$tmp/store" -admin-token smoke-admin \
+	"$$tmp/matchd" -corpus "$$tmp/corpus" -store-dir "$$tmp/store" \
 		-addr 127.0.0.1:0 -addr-file "$$tmp/addr1" -quiet & pid=$$!; \
 	i=0; while [ ! -s "$$tmp/addr1" ] && [ $$i -lt 100 ]; do sleep 0.1; i=$$((i+1)); done; \
-	[ -s "$$tmp/addr1" ] || { echo "store-smoke: matchd never wrote its address file"; exit 1; }; \
-	$(GO) run ./cmd/matchload -tenants 2 -personals 2 -schemas 12 \
-		-requests 40 -rate 150 -queue 64 -seed 1 -churn-rate 25 \
-		-remote "$$(cat $$tmp/addr1)" -remote-admin-token smoke-admin -quiet; \
+	[ -s "$$tmp/addr1" ] || { echo "daemon-smoke: matchd never wrote its address file"; exit 1; }; \
 	kill -TERM "$$pid"; wait "$$pid"; pid=""; \
 	"$$tmp/matcharchive" archive -store "$$tmp/store" -o "$$tmp/dump1"; \
 	"$$tmp/matcharchive" verify -i "$$tmp/dump1" -store "$$tmp/store" >/dev/null; \
-	"$$tmp/matchd" -store-dir "$$tmp/store" \
+	"$$tmp/matchd" -store-dir "$$tmp/store" -compact-after 0 -compact-interval 20ms \
 		-addr 127.0.0.1:0 -addr-file "$$tmp/addr2" -quiet & pid=$$!; \
 	i=0; while [ ! -s "$$tmp/addr2" ] && [ $$i -lt 100 ]; do sleep 0.1; i=$$((i+1)); done; \
-	[ -s "$$tmp/addr2" ] || { echo "store-smoke: matchd never recovered from the store"; exit 1; }; \
+	[ -s "$$tmp/addr2" ] || { echo "daemon-smoke: matchd never recovered from the store"; exit 1; }; \
+	sleep 0.2; \
 	kill -TERM "$$pid"; wait "$$pid"; pid=""; \
 	"$$tmp/matcharchive" archive -store "$$tmp/store" -o "$$tmp/dump2"; \
 	cmp "$$tmp/dump1" "$$tmp/dump2"; \
-	echo "store-smoke: durable state bit-identical across the power cycle"
+	echo "daemon-smoke: clean drains, durable state bit-identical across the power cycle"
 
 # The benchmark module's own tests: the answer verifier, the load
 # generator's accounting, and a tiny-scale smoke run of all four
@@ -161,14 +126,8 @@ bench-verify:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineBuildAndMatch|BenchmarkMetric|BenchmarkKernel' -benchmem .
 
-# Perf-harness smoke: run the engine and every figure benchmark — plus the
-# four matcher-family benchmarks (each reports candidates/op), the
-# incremental-vs-rebuild index maintenance benchmark, the 1-vs-4
-# shard scatter-gather comparison, the served Server.Match path and
-# the repository XML decoders — for a single iteration so harness rot
-# (broken fixtures, diverged answer sets) is caught by the gate without
-# paying full benchmark time.
+# Perf-harness smoke: every Go benchmark of the root module for a
+# single iteration, so harness rot (broken fixtures, diverged answer
+# sets) fails the gate without paying full benchmark time.
 bench-smoke:
-	$(GO) test -run '^$$' \
-		-bench 'BenchmarkEngineBuildAndMatch|BenchmarkFig|BenchmarkMatcher|BenchmarkIndexIncrementalVsRebuild|BenchmarkShardedScatterGather|BenchmarkCandidateIndex|BenchmarkKernel|BenchmarkServerMatch|BenchmarkReadRepository' \
-		-benchtime 1x -benchmem . ./internal/xmlschema
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...

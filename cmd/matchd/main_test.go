@@ -3,15 +3,18 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/httpserve"
+	"repro/internal/obs"
 	"repro/internal/synth"
 	"repro/internal/xmlschema"
 )
@@ -69,64 +72,10 @@ func startDaemon(t *testing.T, args []string, out *bytes.Buffer) (string, chan o
 	}
 }
 
-// TestDaemonServeAndDrain is the end-to-end lifecycle: load a corpus,
-// serve concurrent wire requests, SIGTERM mid-traffic, and exit clean
-// with every admitted request answered.
-func TestDaemonServeAndDrain(t *testing.T) {
-	dir := t.TempDir()
-	fleet := writeCorpus(t, dir, 41, 2, 2, 12)
-	var out bytes.Buffer
-	addr, stop, done := startDaemon(t, []string{"-corpus", dir, "-workers", "4"}, &out)
-
-	cl := httpserve.NewClient(addr, "")
-	defer cl.Close()
-	ctx := context.Background()
-
-	if ok, err := cl.Health(ctx); err != nil || !ok {
-		t.Fatalf("health: %v %v", ok, err)
-	}
-
-	// Concurrent traffic across the fleet while the daemon is alive.
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	served := 0
-	for round := 0; round < 3; round++ {
-		for _, tn := range fleet {
-			for _, p := range tn.Personals() {
-				wg.Add(1)
-				go func(tenant string, req *httpserve.MatchRequest) {
-					defer wg.Done()
-					res, err := cl.Match(ctx, tenant, req)
-					if err != nil {
-						t.Errorf("%s: %v", tenant, err)
-						return
-					}
-					mu.Lock()
-					served++
-					mu.Unlock()
-					if res.Stats.Matcher == "" {
-						t.Errorf("%s: result without matcher name", tenant)
-					}
-				}(tn.Name, &httpserve.MatchRequest{
-					Personal: httpserve.WireSchema(p), Delta: 0.4, Matcher: "beam:8",
-				})
-			}
-		}
-	}
-	wg.Wait()
-	if served == 0 {
-		t.Fatal("no requests served")
-	}
-
-	// Scrape metrics over the wire before shutdown.
-	text, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text, "matchd_match_requests_total") {
-		t.Fatal("metrics exposition missing matchd_match_requests_total")
-	}
-
+// shutdown sends SIGTERM and requires the daemon to exit after a clean
+// drain.
+func shutdown(t *testing.T, stop chan os.Signal, done chan error, out *bytes.Buffer) {
+	t.Helper()
 	stop <- syscall.SIGTERM
 	select {
 	case err := <-done:
@@ -139,6 +88,221 @@ func TestDaemonServeAndDrain(t *testing.T) {
 	if !strings.Contains(out.String(), "drained cleanly") {
 		t.Fatalf("missing clean-drain report:\n%s", out.String())
 	}
+}
+
+// TestDaemonServeAndDrain is the end-to-end lifecycle: load a corpus,
+// warm every tenant with a wire batch, serve concurrent requests over
+// every matcher family while each tenant is churned over the admin
+// PUT, then SIGTERM and exit clean with every admitted request
+// answered.
+func TestDaemonServeAndDrain(t *testing.T) {
+	dir := t.TempDir()
+	fleet := writeCorpus(t, dir, 41, 2, 2, 12)
+	var out bytes.Buffer
+	addr, stop, done := startDaemon(t,
+		[]string{"-corpus", dir, "-workers", "4", "-queue", "64", "-admin-token", "admin-tok"}, &out)
+
+	cl := httpserve.NewClient(addr, "")
+	defer cl.Close()
+	admin := httpserve.NewClient(addr, "admin-tok")
+	defer admin.Close()
+	ctx := context.Background()
+
+	if ok, err := cl.Health(ctx); err != nil || !ok {
+		t.Fatalf("health: %v %v", ok, err)
+	}
+
+	// One clustered batch per tenant makes every tenant resident over
+	// the wire; no item of a batch may fail.
+	for _, tn := range fleet {
+		var items []httpserve.BatchItem
+		for _, p := range tn.Personals() {
+			items = append(items, httpserve.BatchItem{Tenant: tn.Name, MatchRequest: httpserve.MatchRequest{
+				Personal: httpserve.WireSchema(p), Delta: 0.4, Matcher: "clustered",
+			}})
+		}
+		resp, err := cl.MatchBatch(ctx, &httpserve.BatchRequest{Requests: items})
+		if err != nil {
+			t.Fatalf("batch %s: %v", tn.Name, err)
+		}
+		if len(resp.Results) != len(items) {
+			t.Fatalf("batch %s: %d results for %d requests", tn.Name, len(resp.Results), len(items))
+		}
+		for i, r := range resp.Results {
+			if r.Error != nil {
+				t.Fatalf("batch %s/%d: %s: %s", tn.Name, i, r.Error.Code, r.Error.Message)
+			}
+		}
+	}
+
+	// Every tenant is churned over the admin PUT while the queries are
+	// in flight; the repositories are derived up front because only the
+	// test goroutine may fail the test.
+	const churnRounds = 3
+	var updates [][]*xmlschema.Repository
+	for _, tn := range fleet {
+		repo, seq := tn.Repo(), []*xmlschema.Repository(nil)
+		for round := 1; round <= churnRounds; round++ {
+			repo = churned(t, repo, round)
+			seq = append(seq, repo)
+		}
+		updates = append(updates, seq)
+	}
+	churnErr := make(chan error, 1)
+	go func() {
+		for round := 0; round < churnRounds; round++ {
+			for i, tn := range fleet {
+				if err := admin.UpdateTenant(ctx, tn.Name, updates[i][round]); err != nil {
+					churnErr <- fmt.Errorf("churn %s round %d: %w", tn.Name, round+1, err)
+					return
+				}
+			}
+		}
+		churnErr <- nil
+	}()
+
+	// Concurrent traffic across the fleet and the matcher families.
+	specs := []string{"exhaustive", "parallel", "beam:16", "topk:0.035", "clustered"}
+	var wg sync.WaitGroup
+	var served atomic.Int64
+	for round := 0; round < len(specs); round++ {
+		for _, tn := range fleet {
+			for i, p := range tn.Personals() {
+				wg.Add(1)
+				go func(tenant string, req *httpserve.MatchRequest) {
+					defer wg.Done()
+					res, err := cl.Match(ctx, tenant, req)
+					if err != nil {
+						t.Errorf("%s %s: %v", tenant, req.Matcher, err)
+						return
+					}
+					served.Add(1)
+					if res.Stats.Matcher == "" {
+						t.Errorf("%s: result without matcher name", tenant)
+					}
+				}(tn.Name, &httpserve.MatchRequest{
+					Personal: httpserve.WireSchema(p), Delta: 0.4, Matcher: specs[(round+i)%len(specs)],
+				})
+			}
+		}
+	}
+	wg.Wait()
+	if err := <-churnErr; err != nil {
+		t.Fatal(err)
+	}
+	if served.Load() == 0 {
+		t.Fatal("no requests served")
+	}
+	for _, tn := range fleet {
+		ts, err := cl.TenantStats(ctx, tn.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ts.Version <= 1 {
+			t.Fatalf("%s: %d churn PUTs landed but the served version is still %d", tn.Name, churnRounds, ts.Version)
+		}
+	}
+
+	// Scrape metrics over the wire before shutdown.
+	text, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text, "matchd_match_requests_total") {
+		t.Fatal("metrics exposition missing matchd_match_requests_total")
+	}
+
+	// Hang up first: net/http's Shutdown waits up to 5 s for a pooled
+	// connection that never carried a request.
+	cl.Close()
+	admin.Close()
+	shutdown(t, stop, done, &out)
+}
+
+// TestDaemonTracing boots with -trace-sample 1: every request is
+// traced, a request that opts in gets a well-formed span tree inline
+// whose wall fits inside the latency its client measured, and
+// /debug/traces serves the captured trees.
+func TestDaemonTracing(t *testing.T) {
+	dir := t.TempDir()
+	fleet := writeCorpus(t, dir, 44, 2, 2, 10)
+	var out bytes.Buffer
+	addr, stop, done := startDaemon(t,
+		[]string{"-corpus", dir, "-queue", "64", "-trace-sample", "1", "-admin-token", "admin-tok"}, &out)
+
+	cl := httpserve.NewClient(addr, "")
+	defer cl.Close()
+	ctx := context.Background()
+
+	specs := []string{"exhaustive", "beam:16", "clustered"}
+	var wg sync.WaitGroup
+	sent := 0
+	for round := 0; round < len(specs); round++ {
+		for _, tn := range fleet {
+			for i, p := range tn.Personals() {
+				req := &httpserve.MatchRequest{
+					Personal: httpserve.WireSchema(p), Delta: 0.4,
+					Matcher: specs[round], Trace: (round+i)%2 == 0,
+				}
+				sent++
+				wg.Add(1)
+				go func(tenant string) {
+					defer wg.Done()
+					start := time.Now()
+					res, err := cl.Match(ctx, tenant, req)
+					latency := time.Since(start)
+					if err != nil {
+						t.Errorf("%s %s: %v", tenant, req.Matcher, err)
+						return
+					}
+					switch {
+					case !req.Trace:
+						if res.Trace != nil {
+							t.Errorf("%s: trace inlined without the opt-in", tenant)
+						}
+					case res.Trace == nil:
+						t.Errorf("%s: traced request returned no inline trace", tenant)
+					default:
+						if err := res.Trace.Validate(); err != nil {
+							t.Errorf("%s: malformed trace %s: %v", tenant, res.Trace.ID, err)
+						}
+						if wall := time.Duration(res.Trace.WallNs); wall > latency {
+							t.Errorf("%s: trace %s wall %v exceeds the request latency %v",
+								tenant, res.Trace.ID, wall, latency)
+						}
+					}
+				}(tn.Name)
+			}
+		}
+	}
+	wg.Wait()
+
+	admin := httpserve.NewClient(addr, "admin-tok")
+	defer admin.Close()
+	tr, err := admin.Traces(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sampling at 1 traces the requests that did not opt in as well.
+	if tr.Sampled < int64(sent) {
+		t.Fatalf("%d traces begun for %d requests at -trace-sample 1", tr.Sampled, sent)
+	}
+	captured := 0
+	for _, ring := range [][]*obs.TraceData{tr.Recent, tr.Slow} {
+		for _, td := range ring {
+			if err := td.Validate(); err != nil {
+				t.Fatalf("/debug/traces: malformed trace %s: %v", td.ID, err)
+			}
+			captured++
+		}
+	}
+	if captured == 0 {
+		t.Fatal("/debug/traces returned no captured traces")
+	}
+
+	cl.Close()
+	admin.Close()
+	shutdown(t, stop, done, &out)
 }
 
 // TestDaemonAuthAndAdmin: tokens passed as flags guard serving and

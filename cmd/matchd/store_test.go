@@ -7,17 +7,17 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
-	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/httpserve"
+	"repro/internal/store"
 	"repro/internal/xmlschema"
 )
 
 // churned derives the next repository from cur in one wire update:
-// the first schema is dropped, the rest carry over, and one fresh
-// clone is added — removals, carry-over, and additions at once.
+// the first schema is dropped, one schema is replaced by a copy with a
+// renamed element, the rest carry over, and one fresh clone is added —
+// removals, replacements, carry-over, and additions at once.
 func churned(t *testing.T, cur *xmlschema.Repository, round int) *xmlschema.Repository {
 	t.Helper()
 	next := xmlschema.NewRepository()
@@ -25,6 +25,10 @@ func churned(t *testing.T, cur *xmlschema.Repository, round int) *xmlschema.Repo
 	for i, s := range schemas {
 		if i == 0 {
 			continue
+		}
+		if i == len(schemas)/2 {
+			s = s.Clone()
+			s.ByID(s.Len() - 1).Name += fmt.Sprintf("_r%d", round)
 		}
 		if err := next.Add(s); err != nil {
 			t.Fatal(err)
@@ -38,6 +42,57 @@ func churned(t *testing.T, cur *xmlschema.Repository, round int) *xmlschema.Repo
 		t.Fatal(err)
 	}
 	return next
+}
+
+// storeState reopens the store in dir and loads every tenant's durable
+// state: the content matcharchive dumps.
+func storeState(t *testing.T, dir string) map[string]*store.TenantState {
+	t.Helper()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, err := st.Tenants()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]*store.TenantState, len(names))
+	for _, name := range names {
+		ts, err := st.Tenant(name).Load()
+		if err != nil {
+			t.Fatalf("store tenant %s: %v", name, err)
+		}
+		out[name] = ts
+	}
+	return out
+}
+
+// requireSameState fails unless got holds exactly want's tenants, each
+// at the same version with the same schemas, in order and element for
+// element.
+func requireSameState(t *testing.T, got, want map[string]*store.TenantState) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("store holds %d tenants, want %d", len(got), len(want))
+	}
+	for name, w := range want {
+		g, ok := got[name]
+		if !ok {
+			t.Fatalf("store lost tenant %s", name)
+		}
+		if g.Version() != w.Version() {
+			t.Fatalf("%s: store at version %d, want %d", name, g.Version(), w.Version())
+		}
+		gs, ws := g.Snapshot.Schemas(), w.Snapshot.Schemas()
+		if len(gs) != len(ws) {
+			t.Fatalf("%s: store holds %d schemas, want %d", name, len(gs), len(ws))
+		}
+		for i := range ws {
+			if gs[i].Name != ws[i].Name || !xmlschema.Equal(gs[i].Root(), ws[i].Root()) {
+				t.Fatalf("%s: schema %d is %q, want %q with identical content", name, i, gs[i].Name, ws[i].Name)
+			}
+		}
+	}
 }
 
 // metricValue extracts one per-tenant sample from a /metrics scrape.
@@ -61,7 +116,9 @@ func metricValue(t *testing.T, text, family, tenant string) float64 {
 // with a corpus and a store, churn every tenant over the wire, build
 // the cluster indexes, SIGTERM, then reboot from the store alone and
 // require every tenant back at its exact pre-kill version with
-// identical answers and no gap heals.
+// identical answers and no gap heals. The rebooted daemon's SIGTERM
+// must leave the store exactly as the first shutdown left it, and a
+// third boot's update chains onto the recovered log.
 func TestDaemonColdStartRecovery(t *testing.T) {
 	corpusDir := t.TempDir()
 	fleet := writeCorpus(t, corpusDir, 43, 2, 2, 10)
@@ -112,23 +169,17 @@ func TestDaemonColdStartRecovery(t *testing.T) {
 		versions[tn.Name] = ts.Version
 	}
 
-	stop <- syscall.SIGTERM
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("drain failed: %v\n%s", err, out1.String())
+	shutdown(t, stop, done, &out1)
+	first := storeState(t, storeDir)
+	for _, tn := range fleet {
+		if ts := first[tn.Name]; ts == nil || ts.Version() != versions[tn.Name] {
+			t.Fatalf("%s: shutdown left no store state at version %d", tn.Name, versions[tn.Name])
 		}
-	case <-time.After(15 * time.Second):
-		t.Fatalf("daemon did not exit after SIGTERM\n%s", out1.String())
 	}
 
 	// Cold start: the store is the only source — no corpus flag at all.
 	var out2 bytes.Buffer
 	addr2, stop2, done2 := startDaemon(t, boot, &out2)
-	defer func() {
-		stop2 <- syscall.SIGTERM
-		<-done2
-	}()
 	cl2 := httpserve.NewClient(addr2, "admin-tok")
 	defer cl2.Close()
 
@@ -179,8 +230,19 @@ func TestDaemonColdStartRecovery(t *testing.T) {
 		}
 	}
 
-	// Life goes on: a post-recovery wire update chains onto the
+	// The power cycle: the rebooted daemon's shutdown, which compacts
+	// every recovered tenant again, leaves the store bit for bit as the
+	// first shutdown did.
+	shutdown(t, stop2, done2, &out2)
+	requireSameState(t, storeState(t, storeDir), first)
+
+	// Life goes on: on a third boot, a wire update chains onto the
 	// recovered log without healing.
+	var out3 bytes.Buffer
+	addr3, stop3, done3 := startDaemon(t, boot, &out3)
+	defer shutdown(t, stop3, done3, &out3)
+	cl3 := httpserve.NewClient(addr3, "admin-tok")
+	defer cl3.Close()
 	tn := fleet[0]
 	repo := xmlschema.NewRepository()
 	for _, s := range tn.Repo().Schemas() {
@@ -188,17 +250,17 @@ func TestDaemonColdStartRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := cl2.UpdateTenant(ctx, tn.Name, repo); err != nil {
+	if err := cl3.UpdateTenant(ctx, tn.Name, repo); err != nil {
 		t.Fatalf("post-recovery churn: %v", err)
 	}
-	ts, err := cl2.TenantStats(ctx, tn.Name)
+	ts, err := cl3.TenantStats(ctx, tn.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ts.Version <= versions[tn.Name] {
 		t.Fatalf("post-recovery update did not advance the version (%d)", ts.Version)
 	}
-	text, err = cl2.Metrics(ctx)
+	text, err = cl3.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

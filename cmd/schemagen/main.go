@@ -3,8 +3,8 @@
 // repository file.
 //
 // With -tenants N > 0 it generates a whole multi-tenant fleet instead
-// (the same corpora cmd/matchload synthesizes in-process, via
-// synth.GenerateTenants): -out names a directory receiving one
+// (the same corpora the benchmark and cmd/matchd's tests synthesize
+// in-process, via synth.GenerateTenants): -out names a directory receiving one
 // repository XML per tenant, so load corpora can be produced offline
 // once and inspected, versioned, or replayed without regenerating.
 //
@@ -95,9 +95,9 @@ func run(args []string) error {
 }
 
 // doTenants writes a multi-tenant load corpus: one repository XML per
-// tenant under dir, generated exactly as cmd/matchload does in-process
-// (synth.GenerateTenants), so an offline corpus and an in-process run
-// with the same seed describe the same fleet.
+// tenant under dir, generated by synth.GenerateTenants, so an offline
+// corpus and an in-process fleet with the same seed and shape describe
+// the same tenants.
 func doTenants(dir string, seed uint64, tenants, personals, schemas int, plant, perturb float64, sizedist string) error {
 	cfg := synth.DefaultConfig(0)
 	cfg.NumSchemas = schemas

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -146,6 +147,39 @@ func TestScorerConcurrentAccess(t *testing.T) {
 	if got, want := sc.Stats().Misses, int64(goroutines*rounds*2*len(names)); got != want {
 		t.Errorf("pairs scored = %d, want %d", got, want)
 	}
+}
+
+// TestForEachWorker pins the fan-out contract: every index runs exactly
+// once, every worker id is below the resolved pool size, and no worker
+// runs two jobs at once (its per-worker state needs no lock).
+func TestForEachWorker(t *testing.T) {
+	const n = 64
+	for _, workers := range []int{1, 2, n + 5} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			pool := ResolveWorkers(workers, n)
+			runs := make([]atomic.Int32, n)
+			busy := make([]atomic.Bool, pool)
+			ForEachWorker(n, workers, func(w, i int) {
+				if w < 0 || w >= pool {
+					t.Errorf("job %d on worker %d, want < %d", i, w, pool)
+					return
+				}
+				if !busy[w].CompareAndSwap(false, true) {
+					t.Errorf("worker %d runs job %d while busy with another", w, i)
+					return
+				}
+				runtime.Gosched()
+				runs[i].Add(1)
+				busy[w].Store(false)
+			})
+			for i := range runs {
+				if got := runs[i].Load(); got != 1 {
+					t.Errorf("job %d ran %d times, want 1", i, got)
+				}
+			}
+		})
+	}
+	ForEachWorker(0, 4, func(w, i int) { t.Errorf("job %d ran on an empty range", i) })
 }
 
 func TestBuildMatrixWorkerCountInvariance(t *testing.T) {

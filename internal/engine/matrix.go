@@ -3,6 +3,7 @@ package engine
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Matrix is a dense rows×cols score matrix: Vals[i*cols+j] is the score
@@ -28,8 +29,8 @@ func (m *Matrix) At(i, j int) float64 { return m.vals[i*m.cols+j] }
 func (m *Matrix) Values() []float64 { return m.vals }
 
 // ResolveWorkers clamps a requested worker count to [1, jobs], with
-// values < 1 defaulting to GOMAXPROCS. It is the sizing rule ForEach
-// and ForEachWorker apply, exported so callers allocating per-worker
+// values < 1 defaulting to GOMAXPROCS. It is the sizing rule
+// ForEachWorker applies, exported so callers allocating per-worker
 // state (row-scoring sessions, scratch rows) can size their slices to
 // the pool that will actually run.
 func ResolveWorkers(workers, jobs int) int {
@@ -45,41 +46,35 @@ func ResolveWorkers(workers, jobs int) int {
 	return workers
 }
 
-// ForEach runs fn(i) for every i in [0, n) on a worker pool of the
-// given size (< 1 selects GOMAXPROCS, clamped to n). It is the single
+// ForEachWorker runs fn(w, i) for every i in [0, n): job i runs on
+// worker w, where w < ResolveWorkers(workers, n). It is the single
 // fan-out primitive behind the matrix builders and the problem table
-// build; fn must be safe to call concurrently for distinct i.
-func ForEach(n, workers int, fn func(i int)) {
-	ForEachWorker(n, workers, func(_, i int) { fn(i) })
-}
-
-// ForEachWorker is ForEach with worker identity: fn(w, i) runs job i on
-// worker w, where w < ResolveWorkers(workers, n). Jobs on the same
-// worker run sequentially, so fn may keep per-w state (a scoring
-// session, scratch buffers) without synchronization.
+// build. Workers claim jobs from one atomic counter, so a job costs one
+// atomic add, and worker 0 runs on the caller's goroutine. Jobs on the
+// same worker run sequentially, so fn may keep per-w state (a scoring
+// session, scratch buffers) without synchronization; calls for
+// distinct workers run concurrently.
 func ForEachWorker(n, workers int, fn func(worker, i int)) {
 	workers = ResolveWorkers(workers, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range jobs {
-				fn(w, i)
+	var next atomic.Int64
+	claim := func(w int) {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
 			}
-		}(w)
+			fn(w, i)
+		}
 	}
-	for i := 0; i < n; i++ {
-		jobs <- i
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			claim(w)
+		}()
 	}
-	close(jobs)
+	claim(0)
 	wg.Wait()
 }
 

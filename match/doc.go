@@ -264,7 +264,7 @@
 //
 // Server.Stats and Server.TenantStats expose the admission counters
 // and per-tenant residency, in-flight load, and name pairs scored for
-// dashboards and load harnesses (see cmd/matchload).
+// dashboards.
 //
 // # Graceful drain
 //
@@ -312,10 +312,10 @@
 //
 // On SIGTERM matchd stops accepting connections, lets in-flight HTTP
 // requests finish, runs Server.Drain under a configurable budget, and
-// exits non-zero if the budget forces an early teardown. matchload
-// -remote replays a mix over this protocol and reports the
-// serialization + transport overhead against the identical in-process
-// replay.
+// exits non-zero if the budget forces an early teardown. cmd/matchd's
+// TestDaemonServeAndDrain and TestDaemonTracing drive this protocol
+// end to end, and the benchmark under benchmark/ measures it under
+// load.
 //
 // # Durability
 //
