@@ -354,16 +354,31 @@ func TestDaemonAuthAndAdmin(t *testing.T) {
 	}
 }
 
+// TestDaemonFlagErrors: a configuration matchd cannot serve is refused
+// before it listens, with an error naming what is wrong.
 func TestDaemonFlagErrors(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{}, &out, nil); err == nil {
-		t.Fatal("missing -corpus accepted")
-	}
-	if err := run([]string{"-corpus", t.TempDir()}, &out, nil); err == nil {
-		t.Fatal("empty corpus accepted")
-	}
-	if err := run([]string{"-corpus", "x", "-tls-cert", "c"}, &out, nil); err == nil {
-		t.Fatal("-tls-cert without -tls-key accepted")
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"missing-corpus", []string{}, "-corpus or -store-dir"},
+		{"empty-corpus", []string{"-corpus", t.TempDir()}, "no *.xml repositories"},
+		{"tls-cert-without-key", []string{"-corpus", "x", "-tls-cert", "c"}, "-tls-cert and -tls-key"},
+		{"bad-log-format", []string{"-corpus", "x", "-log-format", "xml"}, "-log-format"},
+		{"unknown-flag", []string{"-nosuchflag"}, "nosuchflag"},
+		{"empty-store", []string{"-store-dir", t.TempDir()}, "no tenants"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			err := run(tc.args, &out, nil)
+			if err == nil {
+				t.Fatalf("%q accepted", tc.args)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%q: error %q does not mention %q", tc.args, err, tc.want)
+			}
+		})
 	}
 }
 

@@ -271,3 +271,65 @@ func TestDaemonColdStartRecovery(t *testing.T) {
 		t.Fatalf("post-recovery update needed %v gap heals; the diff should chain", v)
 	}
 }
+
+// TestDaemonShards boots with -shards 3: a bare "sharded" request
+// resolves to the daemon's shard count and, over the wire, returns the
+// unsharded exhaustive answers — for tenants registered from the corpus
+// and again for the same tenants recovered from the store on a second
+// boot, which registers them through a separate path.
+func TestDaemonShards(t *testing.T) {
+	corpusDir := t.TempDir()
+	fleet := writeCorpus(t, corpusDir, 45, 2, 2, 10)
+	storeDir := t.TempDir()
+	boot := []string{"-store-dir", storeDir, "-shards", "3", "-compact-interval", "0"}
+	ctx := context.Background()
+
+	serveSharded := func(addr string) {
+		t.Helper()
+		cl := httpserve.NewClient(addr, "")
+		defer cl.Close()
+		answers := 0
+		for _, tn := range fleet {
+			for _, p := range tn.Personals() {
+				res := map[string]*httpserve.MatchResponse{}
+				for _, spec := range []string{"exhaustive", "sharded"} {
+					r, err := cl.Match(ctx, tn.Name, &httpserve.MatchRequest{
+						Personal: httpserve.WireSchema(p), Delta: 0.4, Matcher: spec,
+					})
+					if err != nil {
+						t.Fatalf("%s %s: %v", tn.Name, spec, err)
+					}
+					res[spec] = r
+				}
+				got, want := res["sharded"], res["exhaustive"]
+				if got.Stats.Matcher != "sharded:3" {
+					t.Fatalf("%s: bare sharded resolved to %q, want sharded:3", tn.Name, got.Stats.Matcher)
+				}
+				if got.Stats.Sharded == nil || got.Stats.Sharded.Shards != 3 {
+					t.Fatalf("%s: shard stats missing or wrong: %+v", tn.Name, got.Stats.Sharded)
+				}
+				if !reflect.DeepEqual(got.Answers, want.Answers) {
+					t.Fatalf("%s/%s: sharded answers differ from exhaustive:\n got %+v\nwant %+v",
+						tn.Name, p.Name, got.Answers, want.Answers)
+				}
+				answers += len(got.Answers)
+			}
+		}
+		if answers == 0 {
+			t.Fatal("no request returned an answer; the comparison shows nothing")
+		}
+	}
+
+	var out1 bytes.Buffer
+	addr, stop, done := startDaemon(t, append([]string{"-corpus", corpusDir}, boot...), &out1)
+	serveSharded(addr)
+	shutdown(t, stop, done, &out1)
+
+	var out2 bytes.Buffer
+	addr2, stop2, done2 := startDaemon(t, boot, &out2)
+	serveSharded(addr2)
+	shutdown(t, stop2, done2, &out2)
+	if !strings.Contains(out2.String(), fmt.Sprintf("recovered %d tenants", len(fleet))) {
+		t.Fatalf("second boot did not recover the fleet from the store:\n%s", out2.String())
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -164,6 +165,55 @@ func TestBatchWire(t *testing.T) {
 		t.Fatal("negative delta in a batch item should reject the batch")
 	} else if ae := new(APIError); !asAPIErr(err, &ae) || ae.StatusCode != http.StatusBadRequest {
 		t.Fatalf("want 400, got %v", err)
+	}
+}
+
+// TestBatchWireParity: every item of a POST /v1/batch answers exactly
+// as the same request sent alone over POST /v1/match — answers, bounds
+// and the resolved matcher — across tenants and matcher families.
+func TestBatchWireParity(t *testing.T) {
+	fleet := testFleet(t, 13, 2, 2, 14)
+	_, ts := newTestServer(t, fleet, Config{}, match.WithWorkers(4))
+	cl := NewClient(ts.URL, "")
+	defer cl.Close()
+
+	var items []BatchItem
+	for _, tn := range fleet {
+		for _, p := range tn.Personals() {
+			for _, spec := range []string{"exhaustive", "beam:8", "topk:0.05", "clustered:2"} {
+				items = append(items, BatchItem{Tenant: tn.Name, MatchRequest: *wireRequest(p, 0.4, spec)})
+			}
+		}
+	}
+	ctx := context.Background()
+	resp, err := cl.MatchBatch(ctx, &BatchRequest{Requests: items})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != len(items) {
+		t.Fatalf("got %d results for %d requests", len(resp.Results), len(items))
+	}
+	answers := 0
+	for i, it := range items {
+		r := resp.Results[i]
+		if r.Error != nil {
+			t.Fatalf("item %d (%s %s): %s: %s", i, it.Tenant, it.Matcher, r.Error.Code, r.Error.Message)
+		}
+		want, err := cl.Match(ctx, it.Tenant, &it.MatchRequest)
+		if err != nil {
+			t.Fatalf("sequential %d: %v", i, err)
+		}
+		got := r.Response
+		if !reflect.DeepEqual(got.Answers, want.Answers) || !reflect.DeepEqual(got.Bounds, want.Bounds) {
+			t.Fatalf("item %d (%s %s): batch and sequential answers differ", i, it.Tenant, it.Matcher)
+		}
+		if got.Stats.Matcher != want.Stats.Matcher {
+			t.Fatalf("item %d: batch resolved %q, sequential %q", i, got.Stats.Matcher, want.Stats.Matcher)
+		}
+		answers += len(got.Answers)
+	}
+	if answers == 0 {
+		t.Fatal("no item returned an answer; the comparison shows nothing")
 	}
 }
 
